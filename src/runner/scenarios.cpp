@@ -16,7 +16,6 @@
 #include "phy/channel.hpp"
 #include "core/coexistence.hpp"
 #include "core/experiments.hpp"
-#include "core/partition.hpp"
 #include "core/report.hpp"
 #include "core/system.hpp"
 #include "runner/sweep.hpp"
@@ -866,18 +865,6 @@ SweepResult run_scenario(const std::string& id_or_figure,
                          const ScenarioRequest& request) {
   const ScenarioEntry* e = find_entry(id_or_figure);
   if (!e) throw std::invalid_argument("unknown scenario: " + id_or_figure);
-  if (request.shards > 0) {
-    // Scoped override of the process-wide shard request: every system a
-    // replication builds consults the default at construction. Restored
-    // on every exit path so concurrent-in-sequence scenario runs in one
-    // process (tests) cannot leak a request into each other.
-    struct ShardDefaultScope {
-      int saved = core::shard_request_default();
-      ~ShardDefaultScope() { core::set_shard_request_default(saved); }
-    } scope;
-    core::set_shard_request_default(request.shards);
-    return e->run(e->info, request);
-  }
   return e->run(e->info, request);
 }
 
@@ -984,7 +971,6 @@ int run_scenario_main(const std::string& id, int argc, char** argv) {
   req.quick = args.quick;
   req.base_seed = args.base_seed;
   req.max_points = args.max_points;
-  req.shards = args.shards;
   // --checkpoint-warmup forks replications from per-point snapshots;
   // --cold-warmup is its re-run-everything reference (and escape hatch).
   // Both flags given = cold wins: it is the semantics fork must match.

@@ -286,14 +286,16 @@ class SweepRunner {
     }
     const std::size_t total = points.size() * reps;
 
-    auto make_rep = [this, reps](std::size_t i) {
+    // Captures values, not `this`: a deadline-abandoned worker keeps a
+    // copy and may call it after this runner is destroyed.
+    auto make_rep = [base_seed = options_.base_seed,
+                     crn = options_.common_random_numbers,
+                     reps](std::size_t i) {
       Replication rep;
       rep.point_index = i / reps;
       rep.replication_index = i % reps;
       rep.seed = sim::Rng::derive_stream_seed(
-          options_.base_seed,
-          options_.common_random_numbers ? 0 : rep.point_index,
-          rep.replication_index);
+          base_seed, crn ? 0 : rep.point_index, rep.replication_index);
       return rep;
     };
 

@@ -3,7 +3,7 @@
 //    twin -> save again must reproduce the byte stream exactly, at every
 //    interesting epoch (fresh construction, mid-inquiry under noise at a
 //    half-slot boundary, connected piconet);
-//  * the mid-flight test -- a restored run and the uninterrupted run it
+//  * the mid-flight tests -- a restored run and the uninterrupted run it
 //    forked from must evolve identically, asserted by byte-comparing
 //    their snapshots after both advance the same additional window (the
 //    VCD tracer is a write-only sink and deliberately not checkpointable,
@@ -14,9 +14,11 @@
 //    --checkpoint-warmup`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "baseband/bt_clock.hpp"
@@ -55,7 +57,8 @@ SystemConfig noisy_three_device_config() {
 /// flight (Radio::save_state throws); if the requested instant lands
 /// inside one, nudge forward in 25 us steps until the stream closes --
 /// deterministic, and never more than one packet airtime away.
-std::vector<std::uint8_t> snapshot_when_legal(BluetoothSystem& sys) {
+template <class System>
+std::vector<std::uint8_t> snapshot_when_legal(System& sys) {
   for (int step = 0; step < 64; ++step) {
     try {
       return sys.save_snapshot();
@@ -151,6 +154,60 @@ TEST(CoexistenceCheckpoint, ConnectedRoundTrip) {
   auto twin = coexistence_scaffold(2030);
   twin->restore_snapshot(snap);
   EXPECT_EQ(twin->save_snapshot(), snap);
+}
+
+/// The two traffic sources' state (they are not part of the system
+/// image).
+std::vector<std::uint8_t> sources_image(const PeriodicTrafficSource& t0,
+                                        const PeriodicTrafficSource& t1) {
+  sim::SnapshotWriter w;
+  t0.save_state(w);
+  t1.save_state(w);
+  return w.take();
+}
+
+/// True when the image carries a pending rf_delay apply timer: the
+/// kernel section names each timer's owner, and the channel registers
+/// its apply timers as "channel.rf".
+bool has_rf_apply_timer(const std::vector<std::uint8_t>& snap) {
+  static constexpr std::string_view kOwner = "channel.rf";
+  return std::search(snap.begin(), snap.end(), kOwner.begin(),
+                     kOwner.end()) != snap.end();
+}
+
+TEST(CoexistenceCheckpoint, RfDelayRestoredRunMatchesUninterrupted) {
+  // rf_delay > 0 routes every drive through a tagged apply timer, so the
+  // twin must rearm the channel's in-flight drives from the image.
+  const CoexistenceConfig cfg{.seed = 33, .rf_delay = SimTime::us(10)};
+  TwoPiconets net(cfg);
+  ASSERT_TRUE(net.create(0));
+  ASSERT_TRUE(net.create(1));
+  PeriodicTrafficSource t0(net.master(0), 1, 8, 9);
+  PeriodicTrafficSource t1(net.master(1), 1, 8, 9);
+  net.run(SimTime::ms(500));
+  // First settled instant after 500 ms with a drive still in flight.
+  std::vector<std::uint8_t> snap = snapshot_when_legal(net);
+  for (int step = 0; step < 10000 && !has_rf_apply_timer(snap); ++step) {
+    net.run(SimTime::us(1));
+    snap = snapshot_when_legal(net);
+  }
+  ASSERT_TRUE(has_rf_apply_timer(snap));
+
+  TwoPiconets twin(cfg);
+  twin.env().settle();
+  PeriodicTrafficSource u0(twin.master(0), 1, 8, 9);
+  PeriodicTrafficSource u1(twin.master(1), 1, 8, 9);
+  twin.restore_snapshot(snap);
+  const std::vector<std::uint8_t> sources = sources_image(t0, t1);
+  sim::SnapshotReader r(sources);
+  u0.restore_state(r);
+  u1.restore_state(r);
+  EXPECT_EQ(twin.save_snapshot(), snap);
+
+  net.run(SimTime::ms(500));
+  twin.run(SimTime::ms(500));
+  EXPECT_EQ(snapshot_when_legal(net), snapshot_when_legal(twin));
+  EXPECT_EQ(sources_image(t0, t1), sources_image(u0, u1));
 }
 
 // ---- per-module goldens ------------------------------------------------------

@@ -1,5 +1,7 @@
 // WarmupStore: durable warm-up cache hit/miss/spill accounting and the
-// degradation contract — per-file problems miss (warn per file), a
+// degradation contract — per-file problems (corruption, a recipe
+// mismatch, an image from another snapshot version) miss and warn per
+// file, a
 // store-level spill failure disables further spills after ONE warning
 // while loads keep serving hits (a read-only directory is still a
 // cache).
@@ -111,6 +113,45 @@ TEST(WarmupStoreTest, CorruptFileIsAMiss) {
   }
   EXPECT_FALSE(store.try_load(0, 0x1, kConfig).has_value());
   EXPECT_EQ(warmup_store_stats().misses, 1u);
+}
+
+TEST(WarmupStoreTest, StaleSnapshotVersionIsAMissAndRebuilt) {
+  TempDir dir;
+  reset_warmup_store_stats();
+  WarmupStore store(dir.path, "fig08");
+  store.save(0, 0x1, kConfig, sample_image(1));
+  std::string victim;
+  for (const auto& e : fs::directory_iterator(dir.path)) {
+    victim = e.path().string();
+  }
+  ASSERT_FALSE(victim.empty());
+  // Re-stamp the file as written by the previous format version, with
+  // an otherwise matching recipe: its image layout differs from this
+  // build's, so it must be rejected at the version check, not restored.
+  sim::CheckpointFile stale;
+  stale.scenario = "fig08";
+  stale.point_index = 0;
+  stale.warm_seed = 0x1;
+  stale.construction_seed = 1;
+  stale.snapshot_version = sim::kSnapshotVersion - 1;
+  stale.config = kConfig;
+  stale.snapshot = sample_image(1).bytes;
+  sim::write_checkpoint_file(victim, stale);
+
+  EXPECT_FALSE(store.try_load(0, 0x1, kConfig).has_value());
+  EXPECT_EQ(warmup_store_stats().misses, 1u);
+  EXPECT_EQ(warmup_store_stats().hits, 0u);
+
+  // The warm-up is rebuilt and spilled over the stale file; later loads
+  // serve the rebuilt image.
+  store.save(0, 0x1, kConfig, sample_image(2));
+  const auto img = store.try_load(0, 0x1, kConfig);
+  ASSERT_TRUE(img.has_value());
+  EXPECT_EQ(img->construction_seed, 2u);
+  const auto s = warmup_store_stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.spills, 2u);
 }
 
 TEST(WarmupStoreTest, SpillFailureDisablesStoreAfterOneFailure) {
