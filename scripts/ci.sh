@@ -332,11 +332,17 @@ echo "=== checkpoint-fork gate: forked vs cold staged sweeps, all studies ==="
 # telemetry may differ (the fork schedules fewer timers — that is the
 # optimisation being gated), so it is stripped exactly as in the burst
 # gate; see docs/ARCHITECTURE.md, "Checkpoint/fork & re-armable timers".
-# Every Monte-Carlo study is compared (figures and the extension
-# studies); fig08/fig10 additionally cross thread counts — the fork
-# shares one snapshot image across worker threads, which is precisely
-# where a mutable-cache bug would show up.
-for id in fig06 fig07 fig08 fig10 fig11 fig12 throughput coexistence backoff; do
+# Every registered study is compared — the ids come from
+# `btsc-sweep --list`, so a new study is gated without editing this
+# loop; fig08/fig10 additionally cross thread counts — the fork shares
+# one snapshot image across worker threads, which is precisely where a
+# mutable-cache bug would show up.
+study_ids=$(./build/bench/btsc-sweep --list | tail -n +2 | awk '{print $1}')
+if [[ -z "$study_ids" ]]; then
+  echo "error: btsc-sweep --list printed no studies" >&2
+  exit 1
+fi
+for id in $study_ids; do
   cold="$gate_dir/${id}_cold.json"
   ./build/bench/btsc-sweep --scenario "$id" --quick --seeds 4 --max-points 4 \
       --threads 1 --cold-warmup --out "$cold" >/dev/null

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -65,6 +64,12 @@ struct ScalarSample {
   void restore_state(sim::SnapshotReader& r) { value.restore_state(r); }
 };
 
+ScalarSample scalar(double v) {
+  ScalarSample s;
+  s.value.add(v);
+  return s;
+}
+
 /// Triple of accumulators for the coexistence study.
 struct CoexSample {
   stats::Accumulator goodput;
@@ -112,29 +117,29 @@ struct BackoffPoint {
 
 // ---- checkpoint/fork staging -----------------------------------------------
 
-/// Little-endian construction-parameter blobs for checkpoint recipes:
+using System = core::BluetoothSystem;
+using SystemPtr = std::unique_ptr<core::BluetoothSystem>;
+
+/// Little-endian construction-parameter blob for a checkpoint recipe:
 /// the point parameters the warm-up construction depends on, compared
 /// verbatim on load so a checkpoint from an edited point list is a cache
 /// miss, never a wrong restore.
-void blob_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  const auto at = b.size();
-  b.resize(at + 4);
-  std::memcpy(b.data() + at, &v, 4);
-}
-void blob_f64(std::vector<std::uint8_t>& b, double v) {
-  const auto at = b.size();
-  b.resize(at + 8);
-  std::memcpy(b.data() + at, &v, 8);
+using Recipe = std::vector<std::uint8_t>;
+
+template <class... T>
+Recipe recipe_of(const T&... fields) {
+  Recipe b((sizeof(T) + ... + 0));
+  std::size_t at = 0;
+  ((std::memcpy(b.data() + at, &fields, sizeof(T)), at += sizeof(T)), ...);
+  return b;
 }
 
-/// The store for one scenario run, or null when --checkpoint-dir is not
-/// in play (the cache then stays purely in-memory). Creates the
-/// directory on first use.
+/// The store for one fork-mode scenario run, or null when
+/// --checkpoint-dir is not in play (the cache then stays purely
+/// in-memory). Creates the directory on first use.
 std::shared_ptr<const WarmupStore> make_warmup_store(
     const ScenarioInfo& info, const ScenarioRequest& req) {
-  if (req.checkpoint_dir.empty() || req.warmup != WarmupMode::kFork) {
-    return nullptr;
-  }
+  if (req.checkpoint_dir.empty()) return nullptr;
   std::error_code ec;
   std::filesystem::create_directories(req.checkpoint_dir, ec);
   if (ec) {
@@ -154,14 +159,12 @@ std::shared_ptr<const WarmupStore> make_warmup_store(
 /// allocated up front and never moved (std::once_flag is immovable).
 class WarmupCache {
  public:
-  explicit WarmupCache(std::size_t points,
-                       std::shared_ptr<const WarmupStore> store = nullptr)
+  WarmupCache(std::size_t points, std::shared_ptr<const WarmupStore> store)
       : slots_(points), store_(std::move(store)) {}
 
   template <class Make>
   const SystemImage& get(std::size_t point, std::uint64_t warm_seed,
-                         const std::vector<std::uint8_t>& config,
-                         Make&& make) {
+                         const Recipe& config, Make&& make) {
     Slot& s = slots_.at(point);
     std::call_once(s.once, [&] {
       if (store_ != nullptr) {
@@ -185,13 +188,6 @@ class WarmupCache {
   std::shared_ptr<const WarmupStore> store_;
 };
 
-/// The base seed the sweep will actually run with (mirrors the
-/// resolution rule in sweep_points).
-std::uint64_t resolved_base_seed(const ScenarioInfo& info,
-                                 const ScenarioRequest& req) {
-  return req.base_seed != 0 ? req.base_seed : info.default_base_seed;
-}
-
 /// The warm-up stage's seed for one point: the same pure derivation the
 /// grid uses for replications, at the reserved warm-up index, so it can
 /// never collide with a measurement stream and is identical whether the
@@ -202,15 +198,76 @@ std::uint64_t warm_seed_for(std::uint64_t base_seed, bool crn,
                                       core::kWarmupReplicationIndex);
 }
 
+/// A study's per-replication config: its fixed knobs plus the seed.
+template <class Config>
+Config seeded(Config cfg, std::uint64_t seed) {
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// A warm-up's result: the system at the measurement boundary and the
+/// seed its construction ran on (core::ConnectedWarmup's shape).
+template <class Sys>
+struct Warmed {
+  std::unique_ptr<Sys> system;
+  std::uint64_t construction_seed = 0;
+};
+
+/// The replication body of Study `S` under the requested warm-up mode.
+/// A Study cuts one family's replication at the measurement boundary
+/// into thin wrappers over core/experiments.hpp:
+///   legacy(point, rep_seed) -> Sample     the single-stage replication
+///   warmup(point, warm_seed) -> Warmed    {system, construction_seed}
+///   scaffold(point, construction_seed)    a fork's restore target
+///   recipe(point) -> Recipe               the checkpoint recipe blob
+///   measure(system&, point, rep_seed)     the measured window -> Sample
+/// This builder is the only reader of req.warmup: it stamps the staging
+/// flag, derives the warm-up seeds from the resolved options, and owns
+/// fork mode's image cache and durable store. Cold measures on the very
+/// system the warm-up built, never a snapshot: it is the fork's oracle.
+template <class S>
+typename SweepRunner<typename S::Point, typename S::Sample>::Body staged_body(
+    const S& study, const ScenarioInfo& info, const ScenarioRequest& req,
+    const SweepOptions& opt, std::size_t n_points, SweepResult& out) {
+  using Point = typename S::Point;
+  out.staged_warmup = req.warmup != WarmupMode::kLegacy;
+  if (req.warmup == WarmupMode::kLegacy) {
+    return [study](const Point& p, const Replication& rep) {
+      return study.legacy(p, rep.seed);
+    };
+  }
+  const std::uint64_t base = opt.base_seed;
+  const bool crn = opt.common_random_numbers;
+  if (req.warmup == WarmupMode::kCold) {
+    return [study, base, crn](const Point& p, const Replication& rep) {
+      auto w = study.warmup(p, warm_seed_for(base, crn, rep.point_index));
+      return study.measure(*w.system, p, rep.seed);
+    };
+  }
+  auto cache = std::make_shared<WarmupCache>(n_points,
+                                             make_warmup_store(info, req));
+  return [study, base, crn, cache](const Point& p, const Replication& rep) {
+    const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
+    const SystemImage& img =
+        cache->get(rep.point_index, warm, study.recipe(p), [&] {
+          auto w = study.warmup(p, warm);
+          return SystemImage{w.system->save_snapshot(), w.construction_seed};
+        });
+    auto sys = study.scaffold(p, img.construction_seed);
+    sys->restore_snapshot(img.bytes);
+    return study.measure(*sys, p, rep.seed);
+  };
+}
+
 /// Shared plumbing: resolves request defaults against the registry entry,
-/// trims the point list for reduced sweeps, runs and times the sweep, and
-/// stamps the result metadata. Each scenario formats its own rows from
-/// the returned per-point samples.
-template <class Point, class Sample>
-std::vector<Sample> sweep_points(
+/// trims the point list for reduced sweeps, builds the study's body,
+/// runs and times the sweep, and stamps the result metadata. Each
+/// scenario formats its own rows from the returned per-point samples.
+template <class S>
+std::vector<typename S::Sample> sweep_points(
     const ScenarioInfo& info, const ScenarioRequest& req,
-    std::vector<Point>& points, SweepResult& out,
-    const typename SweepRunner<Point, Sample>::Body& body) {
+    std::vector<typename S::Point>& points, SweepResult& out,
+    const S& study) {
   SweepOptions opt;
   opt.threads = req.threads;
   opt.replications = req.replications > 0
@@ -233,8 +290,8 @@ std::vector<Sample> sweep_points(
   out.base_seed = opt.base_seed;
   out.quick = req.quick;
   out.max_points = req.max_points;
-  out.staged_warmup = req.warmup != WarmupMode::kLegacy;
   out.supervised = opt.supervised();
+  const auto body = staged_body(study, info, req, opt, points.size(), out);
 
   // The journal binds every result-defining knob of this grid; resuming
   // under any other configuration throws instead of merging foreign
@@ -260,7 +317,8 @@ std::vector<Sample> sweep_points(
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto k0 = sim::Environment::global_scheduler_stats();
-  auto merged = SweepRunner<Point, Sample>(opt).run(points, body, ex);
+  auto merged = SweepRunner<typename S::Point, typename S::Sample>(opt).run(
+      points, body, ex);
   const auto k1 = sim::Environment::global_scheduler_stats();
   out.quarantined = std::move(ex.quarantined);
   out.journal_skipped = ex.journal_skipped;
@@ -282,6 +340,34 @@ std::vector<Sample> sweep_points(
 
 // ---- Figs. 6-8: creation vs BER ----
 
+/// One two-device creation (inquiry, then page) per replication; the
+/// warm-up is construction alone, at t = 0.
+struct CreationStudy {
+  using Point = double;  // channel BER
+  using Sample = core::CreationPoint;
+  static constexpr std::uint32_t kTimeout = 2048;  // slots; paper: 1.28 s
+
+  Sample legacy(double ber, std::uint64_t seed) const {
+    return sample(ber, core::run_creation_replication(ber, seed, kTimeout));
+  }
+  Warmed<System> warmup(double ber, std::uint64_t seed) const {
+    return {scaffold(ber, seed), seed};
+  }
+  SystemPtr scaffold(double ber, std::uint64_t seed) const {
+    return core::make_creation_system(ber, kTimeout, seed);
+  }
+  Recipe recipe(double ber) const { return recipe_of(ber, kTimeout); }
+  Sample measure(System& sys, double ber, std::uint64_t seed) const {
+    return sample(ber, core::run_creation_from(sys, seed));
+  }
+  static Sample sample(double ber, const core::CreationSample& s) {
+    Sample p;
+    p.ber = ber;
+    p.add(s);
+    return p;
+  }
+};
+
 const double kCreationBers[] = {0.0,      1.0 / 100, 1.0 / 90,
                                 1.0 / 80, 1.0 / 70,  1.0 / 60,
                                 1.0 / 50, 1.0 / 40,  1.0 / 30};
@@ -295,48 +381,6 @@ std::vector<double> creation_points(bool include_noiseless) {
   return bers;
 }
 
-SweepRunner<double, core::CreationPoint>::Body creation_body(
-    const ScenarioInfo& info, const ScenarioRequest& req,
-    std::size_t n_points) {
-  if (req.warmup == WarmupMode::kLegacy) {
-    return [](const double& ber, const Replication& rep) {
-      core::CreationPoint p;
-      p.ber = ber;
-      p.add(core::run_creation_replication(ber, rep.seed, 2048));
-      return p;
-    };
-  }
-  // Staged: construction (the warm-up) runs on the point's warm-up seed;
-  // the replication seed drives only the measurement stage, applied at
-  // the boundary by reseed + slave clock re-randomisation.
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const bool fork = req.warmup == WarmupMode::kFork;
-  auto cache =
-      std::make_shared<WarmupCache>(n_points, make_warmup_store(info, req));
-  return [base, crn, fork, cache](const double& ber, const Replication& rep) {
-    const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-    std::unique_ptr<core::BluetoothSystem> sys;
-    if (fork) {
-      std::vector<std::uint8_t> recipe;
-      blob_f64(recipe, ber);
-      blob_u32(recipe, 2048);
-      const SystemImage& img = cache->get(rep.point_index, warm, recipe, [&] {
-        auto warm_sys = core::make_creation_system(ber, 2048, warm);
-        return SystemImage{warm_sys->save_snapshot(), warm};
-      });
-      sys = core::make_creation_system(ber, 2048, img.construction_seed);
-      sys->restore_snapshot(img.bytes);
-    } else {
-      sys = core::make_creation_system(ber, 2048, warm);
-    }
-    core::CreationPoint p;
-    p.ber = ber;
-    p.add(core::run_creation_from(*sys, rep.seed));
-    return p;
-  };
-}
-
 SweepResult run_fig06(const ScenarioInfo& info, const ScenarioRequest& req) {
   SweepResult out;
   out.title =
@@ -344,8 +388,7 @@ SweepResult run_fig06(const ScenarioInfo& info, const ScenarioRequest& req) {
       "noise, ~1800 @ 1/30; successful runs, 1.28 s timeout)";
   out.columns = {"1/BER", "mean_TS", "ci95_TS", "runs_ok", "runs"};
   auto points = creation_points(true);
-  const auto merged = sweep_points<double, core::CreationPoint>(
-      info, req, points, out, creation_body(info, req, points.size()));
+  const auto merged = sweep_points(info, req, points, out, CreationStudy{});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = merged[i];
     out.rows.push_back({points[i] > 0 ? 1.0 / points[i] : 0.0,
@@ -365,8 +408,7 @@ SweepResult run_fig07(const ScenarioInfo& info, const ScenarioRequest& req) {
       "impossible beyond ~1/30)";
   out.columns = {"1/BER", "mean_TS", "ci95_TS", "runs_ok", "attempted"};
   auto points = creation_points(true);
-  const auto merged = sweep_points<double, core::CreationPoint>(
-      info, req, points, out, creation_body(info, req, points.size()));
+  const auto merged = sweep_points(info, req, points, out, CreationStudy{});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = merged[i];
     out.rows.push_back({points[i] > 0 ? 1.0 / points[i] : 0.0,
@@ -386,8 +428,7 @@ SweepResult run_fig08(const ScenarioInfo& info, const ScenarioRequest& req) {
   out.columns = {"1/BER",     "inq_fail", "inq_lo", "inq_hi",
                  "page_fail", "page_lo",  "page_hi"};
   auto points = creation_points(false);
-  const auto merged = sweep_points<double, core::CreationPoint>(
-      info, req, points, out, creation_body(info, req, points.size()));
+  const auto merged = sweep_points(info, req, points, out, CreationStudy{});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = merged[i];
     const auto [ilo, ihi] = p.inquiry_ok.wilson95();
@@ -404,6 +445,35 @@ SweepResult run_fig08(const ScenarioInfo& info, const ScenarioRequest& req) {
 
 // ---- Fig. 10: master activity vs duty ----
 
+/// Master TX/RX activity at one traffic duty. The warm-up (piconet
+/// creation) is duty-independent, so the recipe is the seed alone.
+struct MasterActivityStudy {
+  using Point = double;  // channel duty cycle
+  using Sample = ActivitySample;
+  core::MasterActivityConfig cfg;  // seed set per replication
+
+  Sample legacy(double duty, std::uint64_t seed) const {
+    return sample(core::run_master_activity(duty, seeded(cfg, seed)));
+  }
+  core::ConnectedWarmup warmup(double, std::uint64_t seed) const {
+    return core::master_activity_warmup(seed);
+  }
+  SystemPtr scaffold(double, std::uint64_t seed) const {
+    return core::master_activity_scaffold(seed);
+  }
+  Recipe recipe(double) const { return {}; }
+  Sample measure(System& sys, double duty, std::uint64_t seed) const {
+    return sample(core::run_master_activity_from(sys, duty, seeded(cfg, seed)));
+  }
+  static Sample sample(const core::MasterActivityRow& row) {
+    Sample s;
+    s.tx.add(row.master.tx_fraction);
+    s.rx.add(row.master.rx_fraction);
+    s.messages.add(static_cast<double>(row.messages));
+    return s;
+  }
+};
+
 SweepResult run_fig10(const ScenarioInfo& info, const ScenarioRequest& req) {
   SweepResult out;
   out.title =
@@ -412,44 +482,9 @@ SweepResult run_fig10(const ScenarioInfo& info, const ScenarioRequest& req) {
   out.columns = {"duty_%", "tx_%", "rx_%", "total_%", "messages"};
   std::vector<double> points = {0.0,    0.0025, 0.005, 0.0075, 0.01,
                                 0.0125, 0.015,  0.0175, 0.02};
-  const std::uint32_t measure_slots = req.quick ? 8000 : 40000;
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(points.size(),
-                                             make_warmup_store(info, req));
-  const auto merged = sweep_points<double, ActivitySample>(
+  const auto merged = sweep_points(
       info, req, points, out,
-      [measure_slots, base, crn, mode, cache](const double& duty,
-                                              const Replication& rep) {
-        core::MasterActivityConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.measure_slots = measure_slots;
-        core::MasterActivityRow row;
-        if (mode == WarmupMode::kLegacy) {
-          row = core::run_master_activity(duty, cfg);
-        } else if (mode == WarmupMode::kCold) {
-          auto w = core::master_activity_warmup(
-              warm_seed_for(base, crn, rep.point_index));
-          row = core::run_master_activity_from(*w.system, duty, cfg);
-        } else {
-          const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-          // The warm-up is duty-independent, so the recipe is the seed alone.
-          const SystemImage& img = cache->get(rep.point_index, warm, {}, [&] {
-            auto w = core::master_activity_warmup(warm);
-            return SystemImage{w.system->save_snapshot(),
-                               w.construction_seed};
-          });
-          auto sys = core::master_activity_scaffold(img.construction_seed);
-          sys->restore_snapshot(img.bytes);
-          row = core::run_master_activity_from(*sys, duty, cfg);
-        }
-        ActivitySample s;
-        s.tx.add(row.master.tx_fraction);
-        s.rx.add(row.master.rx_fraction);
-        s.messages.add(static_cast<double>(row.messages));
-        return s;
-      });
+      MasterActivityStudy{{.measure_slots = req.quick ? 8000u : 40000u}});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& s = merged[i];
     out.rows.push_back({100.0 * points[i], 100.0 * s.tx.mean(),
@@ -465,32 +500,51 @@ SweepResult run_fig10(const ScenarioInfo& info, const ScenarioRequest& req) {
 
 // ---- Figs. 11-12: slave activity in sniff / hold ----
 
+/// Slave RF activity in a low-power mode vs its parameter (nullopt = the
+/// active-mode baseline). Figs. 11 (sniff) and 12 (hold) differ only in
+/// the core stages they wrap, so one Study serves both.
+template <class Config>
+struct SlaveActivityStudy {
+  using Point = std::optional<std::uint32_t>;  // Tsniff / Thold, slots
+  using Sample = ScalarSample;
+  Config cfg;  // seed set per replication
+  core::SlaveActivityRow (*run_legacy)(Point, const Config&);
+  core::ConnectedWarmup (*run_warmup)(std::uint64_t);
+  SystemPtr (*run_scaffold)(std::uint64_t);
+  core::SlaveActivityRow (*run_from)(System&, Point, const Config&);
+
+  Sample legacy(const Point& mode, std::uint64_t seed) const {
+    return scalar(run_legacy(mode, seeded(cfg, seed)).slave.total());
+  }
+  core::ConnectedWarmup warmup(const Point&, std::uint64_t seed) const {
+    return run_warmup(seed);
+  }
+  SystemPtr scaffold(const Point&, std::uint64_t seed) const {
+    return run_scaffold(seed);
+  }
+  Recipe recipe(const Point&) const { return {}; }
+  Sample measure(System& sys, const Point& mode, std::uint64_t seed) const {
+    return scalar(run_from(sys, mode, seeded(cfg, seed)).slave.total());
+  }
+};
+
 /// Shared shape of the two slave low-power figures: point 0 is the
 /// active-mode baseline (nullopt), later points sweep the mode
 /// parameter, and every data row pairs its value with the baseline
 /// column. The baseline rides along for free, so --max-points N means
 /// N *data* rows (baseline excluded).
+template <class S>
 SweepResult run_baseline_vs_mode(
     const ScenarioInfo& info, const ScenarioRequest& req, std::string title,
     std::vector<std::string> columns,
     std::vector<std::optional<std::uint32_t>> points, std::string note,
-    const std::function<double(const std::optional<std::uint32_t>&,
-                               const Replication& rep, bool quick)>& measure) {
+    const S& study) {
   SweepResult out;
   out.title = std::move(title);
   out.columns = std::move(columns);
   ScenarioRequest with_baseline = req;
   if (with_baseline.max_points > 0) ++with_baseline.max_points;
-  const bool quick = req.quick;
-  const auto merged =
-      sweep_points<std::optional<std::uint32_t>, ScalarSample>(
-          info, with_baseline, points, out,
-          [&measure, quick](const std::optional<std::uint32_t>& mode,
-                            const Replication& rep) {
-            ScalarSample s;
-            s.value.add(measure(mode, rep, quick));
-            return s;
-          });
+  const auto merged = sweep_points(info, with_baseline, points, out, study);
   out.max_points = req.max_points;  // report the user's value, not the bump
   const double active = merged[0].value.mean();
   for (std::size_t i = 1; i < points.size(); ++i) {
@@ -502,11 +556,6 @@ SweepResult run_baseline_vs_mode(
 }
 
 SweepResult run_fig11(const ScenarioInfo& info, const ScenarioRequest& req) {
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(
-      9, make_warmup_store(info, req));  // baseline + 8 Tsniff
   return run_baseline_vs_mode(
       info, req,
       "Fig. 11: slave RF activity vs Tsniff, active vs sniff (master data "
@@ -515,38 +564,13 @@ SweepResult run_fig11(const ScenarioInfo& info, const ScenarioRequest& req) {
       {std::nullopt, 10u, 20u, 30u, 40u, 50u, 60u, 80u, 100u},
       "active slave: slot-start carrier sensing + data reception + ACKs + "
       "poll traffic",
-      [base, crn, mode, cache](const std::optional<std::uint32_t>& tsniff,
-                               const Replication& rep, bool quick) {
-        core::SniffActivityConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.measure_slots = quick ? 8000 : 30000;
-        if (mode == WarmupMode::kLegacy) {
-          return core::run_sniff_activity(tsniff, cfg).slave.total();
-        }
-        if (mode == WarmupMode::kCold) {
-          auto w = core::sniff_activity_warmup(
-              warm_seed_for(base, crn, rep.point_index));
-          return core::run_sniff_activity_from(*w.system, tsniff, cfg)
-              .slave.total();
-        }
-        const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-        const SystemImage& img = cache->get(rep.point_index, warm, {}, [&] {
-          auto w = core::sniff_activity_warmup(warm);
-          return SystemImage{w.system->save_snapshot(), w.construction_seed};
-        });
-        auto sys = core::sniff_activity_scaffold(img.construction_seed);
-        sys->restore_snapshot(img.bytes);
-        return core::run_sniff_activity_from(*sys, tsniff, cfg)
-            .slave.total();
-      });
+      SlaveActivityStudy<core::SniffActivityConfig>{
+          {.measure_slots = req.quick ? 8000u : 30000u},
+          core::run_sniff_activity, core::sniff_activity_warmup,
+          core::sniff_activity_scaffold, core::run_sniff_activity_from});
 }
 
 SweepResult run_fig12(const ScenarioInfo& info, const ScenarioRequest& req) {
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(
-      10, make_warmup_store(info, req));  // baseline + 9 Thold
   return run_baseline_vs_mode(
       info, req,
       "Fig. 12: slave RF activity vs Thold, hold vs active (paper: active "
@@ -555,29 +579,10 @@ SweepResult run_fig12(const ScenarioInfo& info, const ScenarioRequest& req) {
       {std::nullopt, 40u, 80u, 120u, 160u, 200u, 400u, 600u, 800u, 1000u},
       "hold cycles repeat back to back with an 8-slot gap; the resync cost "
       "is ~2.5 slots of full listening per cycle",
-      [base, crn, mode, cache](const std::optional<std::uint32_t>& thold,
-                               const Replication& rep, bool quick) {
-        core::HoldActivityConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.min_measure_slots = quick ? 8000 : 30000;
-        if (mode == WarmupMode::kLegacy) {
-          return core::run_hold_activity(thold, cfg).slave.total();
-        }
-        if (mode == WarmupMode::kCold) {
-          auto w = core::hold_activity_warmup(
-              warm_seed_for(base, crn, rep.point_index));
-          return core::run_hold_activity_from(*w.system, thold, cfg)
-              .slave.total();
-        }
-        const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-        const SystemImage& img = cache->get(rep.point_index, warm, {}, [&] {
-          auto w = core::hold_activity_warmup(warm);
-          return SystemImage{w.system->save_snapshot(), w.construction_seed};
-        });
-        auto sys = core::hold_activity_scaffold(img.construction_seed);
-        sys->restore_snapshot(img.bytes);
-        return core::run_hold_activity_from(*sys, thold, cfg).slave.total();
-      });
+      SlaveActivityStudy<core::HoldActivityConfig>{
+          {.min_measure_slots = req.quick ? 8000u : 30000u},
+          core::run_hold_activity, core::hold_activity_warmup,
+          core::hold_activity_scaffold, core::run_hold_activity_from});
 }
 
 // ---- Extension: packet type x BER throughput matrix ----
@@ -585,6 +590,35 @@ SweepResult run_fig12(const ScenarioInfo& info, const ScenarioRequest& req) {
 struct ThroughputPoint {
   PacketType type;
   double ber;
+};
+
+/// Saturated master->slave goodput of one (packet type, BER) cell. The
+/// warm-up depends on the packet type (part of the link configuration),
+/// so images are per cell even under common random numbers, and the
+/// recipe carries the type.
+struct ThroughputStudy {
+  using Point = ThroughputPoint;
+  using Sample = ScalarSample;
+  core::ThroughputConfig cfg;  // seed set per replication
+
+  Sample legacy(const Point& p, std::uint64_t seed) const {
+    return scalar(
+        core::run_throughput(p.type, p.ber, seeded(cfg, seed)).goodput_kbps);
+  }
+  core::ConnectedWarmup warmup(const Point& p, std::uint64_t seed) const {
+    return core::throughput_warmup(p.type, seed);
+  }
+  SystemPtr scaffold(const Point& p, std::uint64_t seed) const {
+    return core::throughput_scaffold(p.type, seed);
+  }
+  Recipe recipe(const Point& p) const {
+    return recipe_of(static_cast<std::uint32_t>(p.type));
+  }
+  Sample measure(System& sys, const Point& p, std::uint64_t seed) const {
+    return scalar(
+        core::run_throughput_from(sys, p.type, p.ber, seeded(cfg, seed))
+            .goodput_kbps);
+  }
 };
 
 SweepResult run_throughput_scenario(const ScenarioInfo& info,
@@ -605,46 +639,9 @@ SweepResult run_throughput_scenario(const ScenarioInfo& info,
   for (double ber : bers) {
     for (PacketType t : types) points.push_back({t, ber});
   }
-  const std::uint32_t measure_slots = req.quick ? 3000 : 8000;
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  // Images are keyed per (type, BER) cell: even under common random
-  // numbers the warm-up system differs by packet type.
-  auto cache = std::make_shared<WarmupCache>(points.size(),
-                                             make_warmup_store(info, req));
-  const auto merged = sweep_points<ThroughputPoint, ScalarSample>(
+  const auto merged = sweep_points(
       info, req, points, out,
-      [measure_slots, base, crn, mode, cache](const ThroughputPoint& p,
-                                              const Replication& rep) {
-        core::ThroughputConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.measure_slots = measure_slots;
-        core::ThroughputRow row;
-        if (mode == WarmupMode::kLegacy) {
-          row = core::run_throughput(p.type, p.ber, cfg);
-        } else if (mode == WarmupMode::kCold) {
-          auto w = core::throughput_warmup(
-              p.type, warm_seed_for(base, crn, rep.point_index));
-          row = core::run_throughput_from(*w.system, p.type, p.ber, cfg);
-        } else {
-          const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-          std::vector<std::uint8_t> recipe;
-          blob_u32(recipe, static_cast<std::uint32_t>(p.type));
-          const SystemImage& img =
-              cache->get(rep.point_index, warm, recipe, [&] {
-                auto w = core::throughput_warmup(p.type, warm);
-                return SystemImage{w.system->save_snapshot(),
-                                   w.construction_seed};
-              });
-          auto sys = core::throughput_scaffold(p.type, img.construction_seed);
-          sys->restore_snapshot(img.bytes);
-          row = core::run_throughput_from(*sys, p.type, p.ber, cfg);
-        }
-        ScalarSample s;
-        s.value.add(row.goodput_kbps);
-        return s;
-      });
+      ThroughputStudy{{.measure_slots = req.quick ? 3000u : 8000u}});
   // A --max-points cut can land mid-row; rows must keep the declared
   // column arity, so only complete BER rows are emitted and the cut is
   // called out in a note instead of being silently swallowed.
@@ -671,6 +668,39 @@ SweepResult run_throughput_scenario(const ScenarioInfo& info,
 
 // ---- Extension: coexistence ----
 
+/// Victim-link DM1 goodput next to a neighbour piconet. Both piconets
+/// connect via the environment RNG, so the construction seed is the
+/// warm-up seed itself (no retry reconstruction as in the single-piconet
+/// studies).
+struct CoexistenceStudy {
+  using Point = std::uint32_t;  // neighbour data period, slots (0 = silent)
+  using Sample = CoexSample;
+  core::CoexistenceRunConfig cfg;  // seed set per replication
+
+  Sample legacy(std::uint32_t period, std::uint64_t seed) const {
+    return sample(core::run_coexistence(period, seeded(cfg, seed)));
+  }
+  Warmed<core::TwoPiconets> warmup(std::uint32_t, std::uint64_t seed) const {
+    return {core::coexistence_warmup(seed), seed};
+  }
+  std::unique_ptr<core::TwoPiconets> scaffold(std::uint32_t,
+                                              std::uint64_t seed) const {
+    return core::coexistence_scaffold(seed);
+  }
+  Recipe recipe(std::uint32_t) const { return {}; }
+  Sample measure(core::TwoPiconets& net, std::uint32_t period,
+                 std::uint64_t seed) const {
+    return sample(core::run_coexistence_from(net, period, seeded(cfg, seed)));
+  }
+  static Sample sample(const core::CoexistenceRow& row) {
+    Sample s;
+    s.goodput.add(row.goodput_kbps);
+    s.retx.add(static_cast<double>(row.retransmissions));
+    s.collisions.add(static_cast<double>(row.collision_samples));
+    return s;
+  }
+};
+
 SweepResult run_coexistence_scenario(const ScenarioInfo& info,
                                      const ScenarioRequest& req) {
   SweepResult out;
@@ -679,46 +709,9 @@ SweepResult run_coexistence_scenario(const ScenarioInfo& info,
       "traffic; independent hop sequences overlap on ~1/79 of slots)";
   out.columns = {"nbr_period", "goodput_kbps", "retx", "collisions"};
   std::vector<std::uint32_t> points = {0, 64, 16, 8, 4, 2};
-  const std::uint32_t measure_slots = req.quick ? 8000 : 24000;
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(points.size(),
-                                             make_warmup_store(info, req));
-  const auto merged = sweep_points<std::uint32_t, CoexSample>(
+  const auto merged = sweep_points(
       info, req, points, out,
-      [measure_slots, base, crn, mode, cache](const std::uint32_t& period,
-                                              const Replication& rep) {
-        core::CoexistenceRunConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.measure_slots = measure_slots;
-        core::CoexistenceRow row;
-        if (mode == WarmupMode::kLegacy) {
-          row = core::run_coexistence(period, cfg);
-        } else if (mode == WarmupMode::kCold) {
-          auto net = core::coexistence_warmup(
-              warm_seed_for(base, crn, rep.point_index));
-          row = core::run_coexistence_from(*net, period, cfg);
-        } else {
-          const std::uint64_t warm =
-              warm_seed_for(base, crn, rep.point_index);
-          const SystemImage& img = cache->get(rep.point_index, warm, {}, [&] {
-            // Both piconets connect via the environment RNG, so the
-            // construction seed is the warm-up seed itself (no retry
-            // reconstruction as in the single-piconet scenarios).
-            return SystemImage{core::coexistence_warmup(warm)->save_snapshot(),
-                               warm};
-          });
-          auto net = core::coexistence_scaffold(img.construction_seed);
-          net->restore_snapshot(img.bytes);
-          row = core::run_coexistence_from(*net, period, cfg);
-        }
-        CoexSample s;
-        s.goodput.add(row.goodput_kbps);
-        s.retx.add(static_cast<double>(row.retransmissions));
-        s.collisions.add(static_cast<double>(row.collision_samples));
-        return s;
-      });
+      CoexistenceStudy{{.measure_slots = req.quick ? 8000u : 24000u}});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& s = merged[i];
     out.rows.push_back({static_cast<double>(points[i]), s.goodput.mean(),
@@ -732,6 +725,33 @@ SweepResult run_coexistence_scenario(const ScenarioInfo& info,
 
 // ---- Ablation: inquiry backoff ceiling ----
 
+/// One noiseless inquiry under a given backoff ceiling: the creation
+/// family's shape, construction-only warm-up included.
+struct BackoffStudy {
+  using Point = std::uint32_t;  // backoff ceiling, slots
+  using Sample = BackoffPoint;
+
+  Sample legacy(std::uint32_t backoff, std::uint64_t seed) const {
+    return sample(core::run_backoff_replication(backoff, seed));
+  }
+  Warmed<System> warmup(std::uint32_t backoff, std::uint64_t seed) const {
+    return {scaffold(backoff, seed), seed};
+  }
+  SystemPtr scaffold(std::uint32_t backoff, std::uint64_t seed) const {
+    return core::make_backoff_system(backoff, seed);
+  }
+  Recipe recipe(std::uint32_t backoff) const { return recipe_of(backoff); }
+  Sample measure(System& sys, std::uint32_t, std::uint64_t seed) const {
+    return sample(core::run_backoff_from(sys, seed));
+  }
+  static Sample sample(const core::BackoffSample& r) {
+    BackoffPoint p;
+    p.ok.add(r.success);
+    if (r.success) p.slots.add(static_cast<double>(r.slots));
+    return p;
+  }
+};
+
 SweepResult run_backoff_scenario(const ScenarioInfo& info,
                                  const ScenarioRequest& req) {
   SweepResult out;
@@ -740,42 +760,7 @@ SweepResult run_backoff_scenario(const ScenarioInfo& info,
       "probability (noiseless, 1.28 s timeout; spec ceiling is 1023)";
   out.columns = {"backoff_max", "mean_TS", "ok", "runs"};
   std::vector<std::uint32_t> points = {0u, 127u, 255u, 511u, 1023u, 2047u};
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(points.size(),
-                                             make_warmup_store(info, req));
-  const auto merged = sweep_points<std::uint32_t, BackoffPoint>(
-      info, req, points, out,
-      [base, crn, mode, cache](const std::uint32_t& backoff,
-                               const Replication& rep) {
-        core::BackoffSample r;
-        if (mode == WarmupMode::kLegacy) {
-          r = core::run_backoff_replication(backoff, rep.seed);
-        } else if (mode == WarmupMode::kCold) {
-          auto sys = core::make_backoff_system(
-              backoff, warm_seed_for(base, crn, rep.point_index));
-          r = core::run_backoff_from(*sys, rep.seed);
-        } else {
-          const std::uint64_t warm =
-              warm_seed_for(base, crn, rep.point_index);
-          std::vector<std::uint8_t> recipe;
-          blob_u32(recipe, backoff);
-          const SystemImage& img = cache->get(rep.point_index, warm, recipe,
-                                              [&] {
-            return SystemImage{
-                core::make_backoff_system(backoff, warm)->save_snapshot(),
-                warm};
-          });
-          auto sys = core::make_backoff_system(backoff, img.construction_seed);
-          sys->restore_snapshot(img.bytes);
-          r = core::run_backoff_from(*sys, rep.seed);
-        }
-        BackoffPoint p;
-        p.ok.add(r.success);
-        if (r.success) p.slots.add(static_cast<double>(r.slots));
-        return p;
-      });
+  const auto merged = sweep_points(info, req, points, out, BackoffStudy{});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = merged[i];
     out.rows.push_back({static_cast<double>(points[i]), p.slots.mean(),
@@ -795,8 +780,6 @@ struct ScenarioEntry {
   ScenarioInfo info;
   ScenarioFn run;
 };
-
-const ScenarioEntry* find_entry(const std::string& id_or_figure);
 
 const std::vector<ScenarioEntry>& registry() {
   static const std::vector<ScenarioEntry> entries = {

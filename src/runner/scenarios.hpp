@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/sweep.hpp"
@@ -20,19 +22,30 @@ class Reporter;
 
 namespace btsc::runner {
 
-/// How each replication reaches its measurement boundary.
+/// How each replication reaches its measurement boundary. Only the
+/// staged body builder in scenarios.cpp acts on it, composing a study's
+/// stages for the mode; scenarios never branch on it.
 ///
 ///  * kLegacy — the historical single-stage replication: construction
 ///    and measurement draw from one stream seeded by the replication
 ///    seed. Default; byte-identical to every pre-checkpoint artifact.
-///  * kCold — the staged split: a warm-up stage driven by a dedicated
-///    per-point warm-up seed is re-run for every replication, then the
-///    environment RNG is reseeded with the replication seed at the
-///    boundary. The reference semantics of kFork.
+///  * kCold — the staged split: a warm-up driven by a dedicated
+///    per-point warm-up seed is re-run for every replication, which then
+///    reseeds and measures on that same system. No snapshot: the
+///    reference semantics of kFork.
 ///  * kFork — the warm-up runs ONCE per point; every replication
-///    restores its in-memory snapshot and reseeds. Produces samples
-///    bitwise identical to kCold (the forked-vs-cold CI gate).
+///    restores its snapshot into a fresh scaffold and reseeds. Produces
+///    samples bitwise identical to kCold (the forked-vs-cold gate).
 enum class WarmupMode { kLegacy, kCold, kFork };
+
+/// The mode named "legacy", "cold" or "fork"; nullopt for anything else.
+/// The one table of mode names (sweep jobs parse through it).
+inline std::optional<WarmupMode> parse_warmup_mode(std::string_view name) {
+  if (name == "legacy") return WarmupMode::kLegacy;
+  if (name == "cold") return WarmupMode::kCold;
+  if (name == "fork") return WarmupMode::kFork;
+  return std::nullopt;
+}
 
 /// Caller-side knobs of one scenario run. Zero-valued fields mean "use
 /// the scenario's default".

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "runner/scenarios.hpp"
+
 namespace btsc::service {
 namespace {
 
@@ -287,8 +289,7 @@ JobSpec job_from_json(const JsonObject& obj, const std::string& allow_extra) {
   if (!have_scenario || spec.scenario.empty()) {
     fail("job '" + spec.id + "' is missing a 'scenario'");
   }
-  if (spec.warmup != "legacy" && spec.warmup != "cold" &&
-      spec.warmup != "fork") {
+  if (!runner::parse_warmup_mode(spec.warmup)) {
     fail("job '" + spec.id + "': warmup must be legacy/cold/fork, got '" +
          spec.warmup + "'");
   }

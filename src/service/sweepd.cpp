@@ -71,12 +71,6 @@ void atomic_write_text(const std::string& path, const std::string& content) {
   }
 }
 
-runner::WarmupMode warmup_mode(const std::string& name) {
-  if (name == "legacy") return runner::WarmupMode::kLegacy;
-  if (name == "cold") return runner::WarmupMode::kCold;
-  return runner::WarmupMode::kFork;
-}
-
 }  // namespace
 
 const char* job_state_name(JobState s) {
@@ -330,12 +324,10 @@ void SweepService::run_job(const std::string& id) {
   req.quick = spec.quick;
   req.base_seed = spec.base_seed;
   req.max_points = spec.max_points;
-  req.warmup = warmup_mode(spec.warmup);
+  req.warmup = runner::parse_warmup_mode(spec.warmup).value();  // validated
   req.journal_path = journal_path(id);
   req.resume = true;  // a missing journal simply starts fresh
-  if (req.warmup == runner::WarmupMode::kFork) {
-    req.checkpoint_dir = cfg_.checkpoint_dir;
-  }
+  req.checkpoint_dir = cfg_.checkpoint_dir;  // only fork mode spills
   req.rep_timeout_s = spec.rep_timeout_s;
   req.max_retries = spec.max_retries;
   req.keep_going = spec.keep_going;

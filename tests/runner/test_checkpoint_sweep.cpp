@@ -8,11 +8,10 @@
 
 #include <bit>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/report.hpp"
+#include "artifact_json.hpp"
 #include "runner/scenarios.hpp"
 
 namespace btsc::runner {
@@ -26,26 +25,6 @@ ScenarioRequest staged_request(WarmupMode mode, int threads = 1) {
   req.max_points = 2;
   req.warmup = mode;
   return req;
-}
-
-/// JSON artifact with the kernel_* telemetry removed: forking changes
-/// how many timers the process schedules (snapshot scaffolds replace
-/// re-run warm-ups), so the timed-queue counters legitimately differ --
-/// the byte-identity contract covers the results and the result-defining
-/// metadata, exactly what the ci.sh gate compares.
-std::string to_json_sans_kernel_meta(const SweepResult& result) {
-  std::ostringstream os;
-  core::JsonReporter reporter(os);
-  write_result(result, reporter);
-  std::string s = os.str();
-  std::size_t pos;
-  while ((pos = s.find("\"kernel_")) != std::string::npos) {
-    const std::size_t start = s.rfind(", ", pos);         // preceding comma
-    const std::size_t colon = s.find(": \"", pos);        // value opener
-    const std::size_t end = s.find('"', colon + 3);       // value closer
-    s.erase(start, end + 1 - start);
-  }
-  return s;
 }
 
 void expect_rows_bitwise_equal(const SweepResult& a, const SweepResult& b) {
@@ -100,6 +79,33 @@ TEST(CheckpointSweep, CoexistenceForkMatchesCold) {
   expect_rows_bitwise_equal(cold, fork);
   EXPECT_EQ(to_json_sans_kernel_meta(cold), to_json_sans_kernel_meta(fork));
 }
+
+/// Every registered study: the forked sweep equals the cold staged one
+/// byte for byte, and each mode stamps the artifact as staged exactly
+/// when it is not legacy.
+class StudyForkMatchesCold : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StudyForkMatchesCold, ByteForByte) {
+  ScenarioRequest req = staged_request(WarmupMode::kLegacy);
+  req.replications = 2;
+  req.max_points = small_max_points(GetParam());
+  EXPECT_FALSE(run_scenario(GetParam(), req).staged_warmup);
+  req.warmup = WarmupMode::kCold;
+  const SweepResult cold = run_scenario(GetParam(), req);
+  req.warmup = WarmupMode::kFork;
+  const SweepResult fork = run_scenario(GetParam(), req);
+  EXPECT_TRUE(cold.staged_warmup);
+  EXPECT_TRUE(fork.staged_warmup);
+  ASSERT_FALSE(cold.rows.empty());
+  expect_rows_bitwise_equal(cold, fork);
+  EXPECT_EQ(to_json_sans_kernel_meta(cold), to_json_sans_kernel_meta(fork));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStudies, StudyForkMatchesCold, ::testing::ValuesIn(study_ids()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 TEST(CheckpointSweep, ForkedSweepThreadCountInvariant) {
   const SweepResult serial =
