@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (Release build + full ctest suite), the
 # API docs build when Doxygen is available, an ASan+UBSan build running
-# the kernel timing-wheel/scheduler/UniqueFunction/tracer suites
-# (timer-cancellation churn, wheel/heap boundary, callback lifetimes),
+# the kernel timed-queue/scheduler/UniqueFunction/tracer suites
+# (timer-cancellation churn, dispatch-order pin, callback lifetimes),
 # the word-packed framing / burst-transport suites (quiet-prefix
 # receiver catch-up, run fallback, VCD byte-compare, zero-allocation
 # round trip), the integration tests and the threaded sweep-determinism
 # test — so memory/UB bugs and data races in the end-to-end paths cannot
 # regress silently — plus a metadata audit of the committed benchmark
 # baseline (Release tree + burst-transport stamp), a fig08/fig10 sweep
-# byte-compare across 1/2/8 threads (the timing-wheel swap-safety gate),
+# byte-compare across 1/2/8 threads (the thread-count gate),
 # a fig08/fig10 byte-compare between the burst and per-bit PHY
 # transports (the burst swap-safety gate; kernel_* telemetry excluded —
 # fewer timer events is the optimisation being gated), and a
@@ -161,7 +161,7 @@ cmake -B build-asan -S . -DBTSC_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
       -DBTSC_BUILD_BENCHES=OFF -DBTSC_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$jobs" --target \
-      sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
+      sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
       sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
       baseband_test_framing_word phy_test_burst_transport \
       phy_test_noise_mask \
@@ -171,11 +171,11 @@ cmake --build build-asan -j "$jobs" --target \
       core_test_checkpoint runner_test_checkpoint_sweep \
       sim_test_checkpoint_store runner_test_journal runner_test_supervision \
       io_test_fault_plan runner_test_warmup_store service_test_sweepd
-# sim_test_scheduler/sim_test_timer_wheel/sim_test_tracer exercise the
-# timing-wheel timed queue's dispatch and cancellation paths (bucket
-# unlink, wheel/heap boundary, schedule/cancel churn, slot reuse, mid-
-# instant removal, the wheel-vs-heap VCD byte-compare) with the kernel
-# asserts armed and the sanitizers watching; sim_test_unique_function
+# sim_test_scheduler/sim_test_timer_queue/sim_test_tracer exercise the
+# timed queue's dispatch and cancellation paths (heap removal,
+# schedule/cancel churn, slot reuse, mid-instant removal, the pinned
+# creation-VCD hash) with the kernel asserts armed and the sanitizers
+# watching; sim_test_unique_function
 # covers the allocation-free callback type (inline/heap storage, move
 # lifetimes, capture destruction). runner_test_determinism shards real
 # simulations across 8 threads under the sanitizers: the bitwise-
@@ -214,7 +214,7 @@ cmake --build build-asan -j "$jobs" --target \
 # whole sweep service in-process — job codec, worker pool, recovery
 # scan, Unix-socket front end — with real jobs and real sockets, which
 # is exactly the kind of fd/thread lifecycle code sanitizers exist for.
-for t in sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
+for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
          baseband_test_framing_word phy_test_burst_transport \
          phy_test_noise_mask \
@@ -255,12 +255,12 @@ for t in runner_test_sweep runner_test_determinism \
   "./build-tsan/tests/$t"
 done
 
-echo "=== swap-safety gate: fig08/fig10 sweep byte-compare at 1/2/8 threads ==="
-# The timing-wheel swap must never change simulation results: the same
+echo "=== thread-count gate: fig08/fig10 sweep byte-compare at 1/2/8 threads ==="
+# The thread count must never change simulation results: the same
 # Monte-Carlo sweeps must produce byte-identical JSON (%.17g doubles,
 # kernel_* meta included) at any thread count. A divergence here means
 # the kernel dispatch order (the (when, seq) contract) broke.
-gate_dir=build/swap-gate
+gate_dir=build/thread-gate
 mkdir -p "$gate_dir"
 for fig in 8 10; do
   ref="$gate_dir/fig${fig}_1t.json"

@@ -117,8 +117,8 @@ class NoisyChannel final : public sim::Module,
   // ---- burst transport switches ----
 
   /// Process-wide default for newly constructed channels (the
-  /// "Environment-style" escape hatch; mirrors
-  /// Environment::set_timer_wheel_enabled). Thread-safe.
+  /// `--no-burst` escape hatch to the per-bit reference path).
+  /// Thread-safe.
   static void set_burst_transport_default(bool enabled);
   static bool burst_transport_default();
 

@@ -291,7 +291,19 @@ std::vector<typename S::Sample> sweep_points(
   out.quick = req.quick;
   out.max_points = req.max_points;
   out.supervised = opt.supervised();
-  const auto body = staged_body(study, info, req, opt, points.size(), out);
+  // Each replication folds its environments' kernel counters into this
+  // sweep's own tally, so concurrent sweeps in one process (btsc-sweepd
+  // workers) never see each other's traffic. Held by shared_ptr: a
+  // deadline-abandoned replication may destroy its environment after
+  // this function returns.
+  auto tally = std::make_shared<sim::Environment::SchedulerTally>();
+  const auto body = [inner = staged_body(study, info, req, opt,
+                                         points.size(), out),
+                     tally](const typename S::Point& p,
+                            const Replication& rep) {
+    const sim::Environment::TallyScope scope(tally.get());
+    return inner(p, rep);
+  };
 
   // The journal binds every result-defining knob of this grid; resuming
   // under any other configuration throws instead of merging foreign
@@ -316,25 +328,24 @@ std::vector<typename S::Sample> sweep_points(
   ex.stop = req.stop;
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto k0 = sim::Environment::global_scheduler_stats();
   auto merged = SweepRunner<typename S::Point, typename S::Sample>(opt).run(
       points, body, ex);
-  const auto k1 = sim::Environment::global_scheduler_stats();
   out.quarantined = std::move(ex.quarantined);
   out.journal_skipped = ex.journal_skipped;
   out.interrupted = ex.stopped;
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  // Every replication's environment is destroyed inside the grid run, so
-  // the counter delta is exactly this sweep's kernel traffic.
-  out.kernel.timers_scheduled = k1.scheduled - k0.scheduled;
-  out.kernel.timers_fired = k1.fired - k0.fired;
-  out.kernel.timers_canceled = k1.canceled - k0.canceled;
-  out.kernel.cancels_after_fire = k1.cancels_after_fire - k0.cancels_after_fire;
-  out.kernel.live_at_exit = k1.live - k0.live;
-  out.kernel.peak_heap = k1.peak_live;
-  out.kernel.peak_depth = k1.peak_depth;
+  // Every replication's environment is destroyed inside its body, so the
+  // tally is exactly this sweep's kernel traffic.
+  const auto k = tally->total();
+  out.kernel.timers_scheduled = k.scheduled;
+  out.kernel.timers_fired = k.fired;
+  out.kernel.timers_canceled = k.canceled;
+  out.kernel.cancels_after_fire = k.cancels_after_fire;
+  out.kernel.live_at_exit = k.live;
+  out.kernel.peak_heap = k.peak_live;
+  out.kernel.peak_depth = k.peak_depth;
   return merged;
 }
 

@@ -153,11 +153,12 @@ struct SweepResult {
   bool interrupted = false;
 
   /// Timed-queue health of the simulation kernels this sweep ran:
-  /// sim::Environment scheduler counters summed over every replication
-  /// (peak_heap/peak_depth are process-lifetime high-water maxima).
-  /// Every value is a sum or maximum of per-replication deterministic
-  /// quantities, so the block is identical at any thread count and safe
-  /// for byte-compared reports.
+  /// sim::Environment scheduler counters summed over every environment
+  /// its replications destroyed (peak_heap/peak_depth are the maximum
+  /// over them). Counted per sweep, so a concurrent sweep in the same
+  /// process does not leak into it. Every value is a sum or maximum of
+  /// per-replication deterministic quantities, so the block is identical
+  /// at any thread count and safe for byte-compared reports.
   struct KernelDiag {
     /// Timed entries pushed (one-shot callbacks + event notifications).
     std::uint64_t timers_scheduled = 0;
@@ -171,7 +172,7 @@ struct SweepResult {
     std::uint64_t cancels_after_fire = 0;
     /// Entries still pending when their environment was destroyed.
     std::uint64_t live_at_exit = 0;
-    /// High-water timed-queue size across all environments so far.
+    /// High-water timed-queue size across this sweep's environments.
     std::uint64_t peak_heap = 0;
     /// 4-ary heap levels at that high-water mark.
     std::uint64_t peak_depth = 0;

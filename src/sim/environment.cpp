@@ -1,7 +1,6 @@
 #include "sim/environment.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "sim/signal.hpp"
@@ -11,50 +10,23 @@ namespace btsc::sim {
 
 namespace {
 
-/// Process-wide scheduler counters, folded in by ~Environment. The sweep
-/// engine destroys every replication's environment on a worker thread,
-/// hence atomics; sums and maxima of per-environment values are
-/// independent of the thread interleaving, so the aggregate stays
-/// deterministic at any thread count.
-struct GlobalStats {
-  std::atomic<std::uint64_t> scheduled{0};
-  std::atomic<std::uint64_t> fired{0};
-  std::atomic<std::uint64_t> canceled{0};
-  std::atomic<std::uint64_t> cancels_after_fire{0};
-  std::atomic<std::uint64_t> wheel_hits{0};
-  std::atomic<std::uint64_t> heap_overflow{0};
-  std::atomic<std::uint64_t> live_at_exit{0};
-  std::atomic<std::uint64_t> peak_live{0};
-};
-
-GlobalStats& global_stats() {
-  static GlobalStats g;
+/// Process-wide scheduler counters, folded in by ~Environment.
+Environment::SchedulerTally& global_tally() {
+  static Environment::SchedulerTally g;
   return g;
 }
 
-void atomic_max(std::atomic<std::uint64_t>& a, std::uint64_t v) {
-  std::uint64_t cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
+/// The tally of the innermost TallyScope on this thread, if any.
+thread_local Environment::SchedulerTally* t_scope_tally = nullptr;
 
 }  // namespace
 
 Environment::Environment(std::uint64_t seed) : rng_(seed) {}
 
 Environment::~Environment() {
-  const TimerWheel::Stats w = wheel_.stats();
-  GlobalStats& g = global_stats();
-  g.scheduled.fetch_add(w.scheduled, std::memory_order_relaxed);
-  g.fired.fetch_add(w.fired, std::memory_order_relaxed);
-  g.canceled.fetch_add(w.canceled, std::memory_order_relaxed);
-  g.cancels_after_fire.fetch_add(w.cancels_after_fire,
-                                 std::memory_order_relaxed);
-  g.wheel_hits.fetch_add(w.wheel_hits, std::memory_order_relaxed);
-  g.heap_overflow.fetch_add(w.heap_overflow, std::memory_order_relaxed);
-  g.live_at_exit.fetch_add(w.live, std::memory_order_relaxed);
-  atomic_max(g.peak_live, w.peak_live);
+  const SchedulerStats s = scheduler_stats();
+  global_tally().add(s);
+  if (t_scope_tally != nullptr) t_scope_tally->add(s);
 }
 
 void Environment::make_runnable(Process& p) {
@@ -67,7 +39,7 @@ void Environment::request_update(SignalBase& s) { update_queue_.push_back(&s); }
 
 // ---------------------------------------------------------------------------
 // Processes, events, delta cycles (the timed queue itself is
-// sim::TimerWheel; its hot path is inline in the headers)
+// sim::TimerQueue; its hot path is inline in the headers)
 // ---------------------------------------------------------------------------
 
 Process& Environment::register_process(std::string name, UniqueFunction fn) {
@@ -117,26 +89,25 @@ void Environment::settle() {
 }
 
 bool Environment::idle() const {
-  return next_runnable_.empty() && update_queue_.empty() && wheel_.empty();
+  return next_runnable_.empty() && update_queue_.empty() && queue_.empty();
 }
 
 void Environment::run_until(SimTime until) {
   settle();
-  while (!wheel_.empty()) {
-    const SimTime t = wheel_.next_time(now_);
+  while (!queue_.empty()) {
+    const SimTime t = queue_.next_time();
     if (t > until) break;
     now_ = t;
     // Pop-and-dispatch every entry due at this instant in (when, seq)
     // order. Callbacks may schedule more work at the same instant (their
     // seqs are larger than every live one, so they pop last) and may
-    // cancel same-instant siblings (a canceled entry leaves its
-    // container before its turn). pop_due moves the payload out and
-    // releases the slot before dispatch: the callback may schedule more
-    // timers, and its slot must be reusable (and its id stale) while it
-    // runs.
+    // cancel same-instant siblings (a canceled entry leaves the queue
+    // before its turn). pop_due moves the payload out and releases the
+    // slot before dispatch: the callback may schedule more timers, and
+    // its slot must be reusable (and its id stale) while it runs.
     Event* ev = nullptr;
     UniqueFunction fn;
-    while (wheel_.pop_due(t, ev, fn)) {
+    while (queue_.pop_due(t, ev, fn)) {
       if (ev != nullptr) {
         trigger(*ev);
       } else {
@@ -206,8 +177,8 @@ void Environment::save_state(SnapshotWriter& w) const {
     std::uint64_t seq;
   };
   std::vector<Desc> descs;
-  descs.reserve(wheel_.live());
-  wheel_.for_each_live([&](const void* owner, std::uint16_t kind,
+  descs.reserve(queue_.live());
+  queue_.for_each_live([&](const void* owner, std::uint16_t kind,
                            std::uint64_t payload, SimTime when,
                            std::uint64_t seq, bool is_event) {
     if (is_event) {
@@ -238,7 +209,7 @@ void Environment::save_state(SnapshotWriter& w) const {
     w.time(d.when);
     w.u64(d.seq);
   }
-  w.u64(wheel_.next_seq());
+  w.u64(queue_.next_seq());
   w.end_section();
 }
 
@@ -252,7 +223,7 @@ void Environment::restore_state(SnapshotReader& r) {
   // Construction-time timers of the fresh scaffold are superseded by the
   // saved descriptors; replaying each at its saved seq reproduces the
   // checkpointed (when, seq) dispatch total order exactly.
-  wheel_.clear();
+  queue_.clear();
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::string name = r.str();
@@ -266,16 +237,16 @@ void Environment::restore_state(SnapshotReader& r) {
       throw SnapshotError("environment: no rearm registration for \"" + name +
                           "\" in the restored scenario");
     }
-    wheel_.set_next_seq(seq);
+    queue_.set_next_seq(seq);
     e->handler->rearm_timer(kind, payload, when);
-    if (wheel_.next_seq() != seq + 1) {
+    if (queue_.next_seq() != seq + 1) {
       throw SnapshotError(
           "environment: rearm handler for \"" + name +
           "\" did not schedule exactly one timer (kind " +
           std::to_string(kind) + ")");
     }
   }
-  wheel_.set_next_seq(r.u64());
+  queue_.set_next_seq(r.u64());
   r.leave_section();
 }
 
@@ -287,40 +258,60 @@ std::uint64_t Environment::heap_depth(std::uint64_t n) {
   std::uint64_t depth = 0, capacity = 0, level = 1;
   while (capacity < n) {
     capacity += level;
-    level *= 4;  // the overflow heap's arity
+    level *= TimerQueue::kArity;
     ++depth;
   }
   return depth;
 }
 
 Environment::SchedulerStats Environment::scheduler_stats() const {
-  const TimerWheel::Stats w = wheel_.stats();
+  const TimerQueue::Stats q = queue_.stats();
   SchedulerStats s;
-  s.scheduled = w.scheduled;
-  s.fired = w.fired;
-  s.canceled = w.canceled;
-  s.cancels_after_fire = w.cancels_after_fire;
-  s.wheel_hits = w.wheel_hits;
-  s.heap_overflow = w.heap_overflow;
-  s.live = w.live;
-  s.peak_live = w.peak_live;
-  s.peak_depth = heap_depth(w.peak_live);
+  s.scheduled = q.scheduled;
+  s.fired = q.fired;
+  s.canceled = q.canceled;
+  s.cancels_after_fire = q.cancels_after_fire;
+  s.live = q.live;
+  s.peak_live = q.peak_live;
+  s.peak_depth = heap_depth(q.peak_live);
+  return s;
+}
+
+void Environment::SchedulerTally::add(const SchedulerStats& s) {
+  scheduled_.fetch_add(s.scheduled, std::memory_order_relaxed);
+  fired_.fetch_add(s.fired, std::memory_order_relaxed);
+  canceled_.fetch_add(s.canceled, std::memory_order_relaxed);
+  cancels_after_fire_.fetch_add(s.cancels_after_fire,
+                                std::memory_order_relaxed);
+  live_.fetch_add(s.live, std::memory_order_relaxed);
+  std::uint64_t cur = peak_live_.load(std::memory_order_relaxed);
+  while (cur < s.peak_live &&
+         !peak_live_.compare_exchange_weak(cur, s.peak_live,
+                                           std::memory_order_relaxed)) {
+  }
+}
+
+Environment::SchedulerStats Environment::SchedulerTally::total() const {
+  SchedulerStats s;
+  s.scheduled = scheduled_.load(std::memory_order_relaxed);
+  s.fired = fired_.load(std::memory_order_relaxed);
+  s.canceled = canceled_.load(std::memory_order_relaxed);
+  s.cancels_after_fire = cancels_after_fire_.load(std::memory_order_relaxed);
+  s.live = live_.load(std::memory_order_relaxed);
+  s.peak_live = peak_live_.load(std::memory_order_relaxed);
+  s.peak_depth = heap_depth(s.peak_live);
   return s;
 }
 
 Environment::SchedulerStats Environment::global_scheduler_stats() {
-  const GlobalStats& g = global_stats();
-  SchedulerStats s;
-  s.scheduled = g.scheduled.load(std::memory_order_relaxed);
-  s.fired = g.fired.load(std::memory_order_relaxed);
-  s.canceled = g.canceled.load(std::memory_order_relaxed);
-  s.cancels_after_fire = g.cancels_after_fire.load(std::memory_order_relaxed);
-  s.wheel_hits = g.wheel_hits.load(std::memory_order_relaxed);
-  s.heap_overflow = g.heap_overflow.load(std::memory_order_relaxed);
-  s.live = g.live_at_exit.load(std::memory_order_relaxed);
-  s.peak_live = g.peak_live.load(std::memory_order_relaxed);
-  s.peak_depth = heap_depth(s.peak_live);
-  return s;
+  return global_tally().total();
 }
+
+Environment::TallyScope::TallyScope(SchedulerTally* tally)
+    : prev_(t_scope_tally) {
+  t_scope_tally = tally;
+}
+
+Environment::TallyScope::~TallyScope() { t_scope_tally = prev_; }
 
 }  // namespace btsc::sim

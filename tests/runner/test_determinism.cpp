@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/report.hpp"
@@ -86,6 +87,45 @@ TEST(SweepDeterminismTest, BaseSeedChangesResults) {
   ASSERT_EQ(base.rows.size(), 1u);
   ASSERT_EQ(reseeded.rows.size(), 1u);
   EXPECT_NE(base.rows[0][1], reseeded.rows[0][1]);  // mean_TS column
+}
+
+ScenarioRequest small_request() {
+  ScenarioRequest req;
+  req.threads = 1;
+  req.quick = true;
+  req.replications = 2;
+  req.max_points = 2;
+  return req;
+}
+
+void expect_same_kernel(const SweepResult::KernelDiag& a,
+                        const SweepResult::KernelDiag& b,
+                        const std::string& id) {
+  EXPECT_EQ(a.timers_scheduled, b.timers_scheduled) << id;
+  EXPECT_EQ(a.timers_fired, b.timers_fired) << id;
+  EXPECT_EQ(a.timers_canceled, b.timers_canceled) << id;
+  EXPECT_EQ(a.cancels_after_fire, b.cancels_after_fire) << id;
+  EXPECT_EQ(a.live_at_exit, b.live_at_exit) << id;
+  EXPECT_EQ(a.peak_heap, b.peak_heap) << id;
+  EXPECT_EQ(a.peak_depth, b.peak_depth) << id;
+}
+
+TEST(SweepDeterminismTest, ConcurrentSweepsReportOwnKernelCounters) {
+  // Two sweeps sharing one process (btsc-sweepd with several workers)
+  // must each report only their own kernel traffic: the kernel block of
+  // a concurrent run equals the one it reports alone.
+  const SweepResult fig08_solo = run_scenario("fig08", small_request());
+  const SweepResult fig10_solo = run_scenario("fig10", small_request());
+  ASSERT_GT(fig08_solo.kernel.timers_scheduled, 0u);
+  ASSERT_GT(fig10_solo.kernel.timers_scheduled, 0u);
+  SweepResult fig08, fig10;
+  std::thread other([&fig10] { fig10 = run_scenario("fig10", small_request()); });
+  fig08 = run_scenario("fig08", small_request());
+  other.join();
+  EXPECT_EQ(fig08.rows, fig08_solo.rows);
+  EXPECT_EQ(fig10.rows, fig10_solo.rows);
+  expect_same_kernel(fig08.kernel, fig08_solo.kernel, "fig08");
+  expect_same_kernel(fig10.kernel, fig10_solo.kernel, "fig10");
 }
 
 }  // namespace

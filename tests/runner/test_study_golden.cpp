@@ -3,7 +3,7 @@
 // 1 thread, in the legacy and the cold staged mode, must hash to the
 // constant recorded below. The hash is FNV-1a 64 over the JSON artifact with the kernel_*
 // telemetry stripped, so kernel work that leaves the results alone (tick
-// elision, timer-wheel changes) does not disturb the pin, while any
+// elision, timed-queue changes) does not disturb the pin, while any
 // change to a sample stream, a row or a result-defining metadata line
 // does. Fork mode is pinned transitively: it must equal cold
 // (StudyForkMatchesCold in test_checkpoint_sweep.cpp).

@@ -1,18 +1,17 @@
-// Timing-wheel/heap boundary semantics: which timers take the O(1) ring
-// buckets vs the overflow heap, exact (when, seq) ordering across the
-// two containers, cancel-in-bucket, and the kernel's zero-allocation
-// steady-state contract (counted via a global operator new hook).
+// Timed-queue semantics: exact (when, seq) dispatch order, true
+// cancellation, stale-handle inertness and the kernel's zero-allocation
+// steady-state contract (counted via a global operator new hook), plus
+// a golden pin of the dispatch order over a whole noisy creation run.
 //
-// The wheel levels under test (see sim/timer_wheel.hpp):
-//   L0: 250 ns x 4096   -> 1.024 ms horizon
-//   L1: 312.5 us x 1024 -> 320 ms horizon
-//   L2: 625 us x 4096   -> 2.56 s horizon
-// Off-grid instants and farther-out timers overflow into the 4-ary heap.
+// The suite keeps its historical name (TimerWheelTest) so the ids of
+// these cases stay stable across the removal of the slot-grid wheel.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
@@ -21,8 +20,8 @@
 #include "baseband/bt_clock.hpp"
 #include "core/system.hpp"
 #include "sim/environment.hpp"
+#include "sim/snapshot.hpp"
 #include "sim/time.hpp"
-#include "sim/tracer.hpp"
 
 namespace {
 
@@ -54,106 +53,22 @@ using namespace btsc::sim::literals;
 
 std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
-// ---- wheel/heap placement boundaries ----
-
-TEST(TimerWheelTest, GridAlignedNearTimerHitsWheel) {
-  Environment env;
-  env.schedule(250_ns, [] {});                      // finest grid
-  env.schedule(1_us, [] {});                        // bit grid
-  env.schedule(baseband::kTickPeriod, [] {});       // half-slot
-  env.schedule(baseband::kSlotDuration * 4, [] {}); // 4 slots (level 1)
-  env.schedule(1_sec, [] {});                       // superframe (level 2)
-  const auto s = env.scheduler_stats();
-  EXPECT_EQ(s.scheduled, 5u);
-  EXPECT_EQ(s.wheel_hits, 5u);
-  EXPECT_EQ(s.heap_overflow, 0u);
-}
-
-TEST(TimerWheelTest, OffGridTimerOverflowsToHeap) {
-  Environment env;
-  env.schedule(33_ns, [] {});        // off the 250 ns grid
-  env.schedule(SimTime::ns(312'501), [] {});
-  const auto s = env.scheduler_stats();
-  EXPECT_EQ(s.wheel_hits, 0u);
-  EXPECT_EQ(s.heap_overflow, 2u);
-}
-
-TEST(TimerWheelTest, FarHorizonTimerOverflowsToHeap) {
-  Environment env;
-  // Grid-aligned but beyond the 2.56 s level-2 horizon.
-  env.schedule(10_sec, [] {});
-  const auto s = env.scheduler_stats();
-  EXPECT_EQ(s.wheel_hits, 0u);
-  EXPECT_EQ(s.heap_overflow, 1u);
-}
-
-TEST(TimerWheelTest, HorizonBoundaryIsExact) {
-  Environment env;
-  // From t=0, level 0 covers ticks [0, 4096): the last in-horizon
-  // 250 ns-grid instant is 4095*250 ns. 4096*250 ns = 1.024 ms is out of
-  // level 0, not slot-aligned, and so overflows to the heap.
-  env.schedule(SimTime::ns(4095 * 250), [] {});
-  EXPECT_EQ(env.scheduler_stats().wheel_hits, 1u);
-  env.schedule(SimTime::ns(4096 * 250), [] {});
-  EXPECT_EQ(env.scheduler_stats().heap_overflow, 1u);
-  // The same boundary at level 1: 1023 half-slots in, 1024 out (and
-  // odd, so not level-2 eligible either).
-  env.schedule(baseband::kTickPeriod * 1023, [] {});
-  EXPECT_EQ(env.scheduler_stats().wheel_hits, 2u);
-  env.schedule(baseband::kTickPeriod * 1025, [] {});
-  EXPECT_EQ(env.scheduler_stats().heap_overflow, 2u);
-  // Level 2: 1024 half-slots = 512 slots is even-slot aligned -> wheel.
-  env.schedule(baseband::kTickPeriod * 1024, [] {});
-  EXPECT_EQ(env.scheduler_stats().wheel_hits, 3u);
-}
-
-TEST(TimerWheelTest, WheelDisabledSendsEverythingToHeap) {
-  Environment env;
-  env.set_timer_wheel_enabled(false);
-  bool ran = false;
-  env.schedule(baseband::kTickPeriod, [&ran] { ran = true; });
-  const auto s = env.scheduler_stats();
-  EXPECT_EQ(s.wheel_hits, 0u);
-  EXPECT_EQ(s.heap_overflow, 1u);
-  env.run_until(1_ms);
-  EXPECT_TRUE(ran);
-}
-
-TEST(TimerWheelTest, CoarseBucketResidentsDispatchAfterWheelDisable) {
-  // Regression: entries already resident in level-1/2 buckets must still
-  // dispatch after set_timer_wheel_enabled(false) empties nothing --
-  // their due-instant eligibility cannot be gated on level 0 being
-  // enabled or occupied (this once made run_until spin forever).
-  Environment env;
-  bool l1 = false, l2 = false;
-  env.schedule(baseband::kSlotDuration * 4, [&l1] { l1 = true; });  // level 1
-  env.schedule(1_sec, [&l2] { l2 = true; });                        // level 2
-  EXPECT_EQ(env.scheduler_stats().wheel_hits, 2u);
-  env.set_timer_wheel_enabled(false);
-  env.run_until(2_sec);
-  EXPECT_TRUE(l1);
-  EXPECT_TRUE(l2);
-  EXPECT_TRUE(env.idle());
-}
-
-// ---- ordering across the wheel/heap boundary ----
+// ---- ordering ----
 
 TEST(TimerWheelTest, SameInstantAcrossContainersFiresInScheduleOrder) {
   Environment env;
   std::vector<int> order;
-  // A lands in the heap (3 s is past every horizon when scheduled from
-  // t=0); B and C land in a level-0 bucket for the *same instant* once
-  // time has advanced close enough. FIFO (seq) order must hold across
-  // the container split.
+  // A and D are scheduled at t = 0 for 3 s; B and C are scheduled for
+  // the same instant later, from a callback at 2.999 s + 250 ns. FIFO
+  // (seq) order must hold regardless of when each entry was queued.
   env.schedule(3_sec, [&] { order.push_back(1) ; });
-  env.schedule(3_sec - 1_ms + 250_ns, [&]
-               {  // runs at t = 2.999s + 250ns: 3 s is now in horizon
-                 env.schedule(1_ms - 250_ns, [&] { order.push_back(2); });
-                 env.schedule(1_ms - 250_ns, [&] { order.push_back(3); });
-               });
+  env.schedule(3_sec - 1_ms + 250_ns, [&] {
+    env.schedule(1_ms - 250_ns, [&] { order.push_back(2); });
+    env.schedule(1_ms - 250_ns, [&] { order.push_back(3); });
+  });
   env.schedule(3_sec, [&] { order.push_back(4); });
   env.run_until(4_sec);
-  // Seq order: 1 (heap), 4 (heap), then 2, 3 (bucket, scheduled later).
+  // Seq order: 1, 4 (scheduled first), then 2, 3.
   EXPECT_EQ(order, (std::vector<int>{1, 4, 2, 3}));
   EXPECT_TRUE(env.idle());
 }
@@ -161,8 +76,8 @@ TEST(TimerWheelTest, SameInstantAcrossContainersFiresInScheduleOrder) {
 TEST(TimerWheelTest, MixedGridAndOffGridOrderingIsGlobal) {
   Environment env;
   std::vector<std::uint64_t> fired;
-  // Interleave on-grid (wheel) and off-grid (heap) timers over a dense
-  // window; global time order (with FIFO tiebreak) must emerge.
+  // Interleave on-grid and off-grid instants over a dense window; global
+  // time order (with FIFO tiebreak) must emerge.
   for (int i = 0; i < 400; ++i) {
     const std::uint64_t ns = (static_cast<std::uint64_t>(i) * 7919) % 100000;
     env.schedule(SimTime::ns(ns), [&fired, &env] {
@@ -174,9 +89,6 @@ TEST(TimerWheelTest, MixedGridAndOffGridOrderingIsGlobal) {
   for (std::size_t i = 1; i < fired.size(); ++i) {
     EXPECT_LE(fired[i - 1], fired[i]);
   }
-  const auto s = env.scheduler_stats();
-  EXPECT_GT(s.wheel_hits, 0u);
-  EXPECT_GT(s.heap_overflow, 0u);
 }
 
 TEST(TimerWheelTest, ZeroDelayFromCallbackFiresSameInstantInSeqOrder) {
@@ -192,17 +104,16 @@ TEST(TimerWheelTest, ZeroDelayFromCallbackFiresSameInstantInSeqOrder) {
   EXPECT_EQ(env.now(), baseband::kTickPeriod);
 }
 
-// ---- cancellation in buckets ----
+// ---- cancellation ----
 
 TEST(TimerWheelTest, CancelInBucketIsTrueRemoval) {
   Environment env;
   bool ran = false;
   const TimerId id = env.schedule(baseband::kTickPeriod, [&] { ran = true; });
-  EXPECT_EQ(env.scheduler_stats().wheel_hits, 1u);
   EXPECT_TRUE(env.pending(id));
   env.cancel(id);
   EXPECT_FALSE(env.pending(id));
-  EXPECT_TRUE(env.idle());  // no dead entry left in the bucket
+  EXPECT_TRUE(env.idle());  // no dead entry left in the queue
   env.run_until(1_ms);
   EXPECT_FALSE(ran);
   EXPECT_EQ(env.scheduler_stats().fired, 0u);
@@ -218,7 +129,7 @@ TEST(TimerWheelTest, CancelMiddleOfSharedBucketKeepsSiblings) {
       order.push_back(i);
     });
   }
-  env.cancel(ids[1]);  // unlink from the middle of the bucket list
+  env.cancel(ids[1]);  // the middle one of three same-instant entries
   env.run_until(1_ms);
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
   EXPECT_TRUE(env.idle());
@@ -242,9 +153,9 @@ TEST(TimerWheelTest, CancelOwnedSpansWheelAndHeap) {
   Environment env;
   int mine = 0, other = 0;
   const int tag = 0;
-  env.schedule(baseband::kTickPeriod, [&] { ++mine; }, &tag);  // bucket
-  env.schedule(10_sec, [&] { ++mine; }, &tag);                 // heap
-  env.schedule(33_ns, [&] { ++mine; }, &tag);                  // heap
+  env.schedule(baseband::kTickPeriod, [&] { ++mine; }, &tag);  // near
+  env.schedule(10_sec, [&] { ++mine; }, &tag);                 // far
+  env.schedule(33_ns, [&] { ++mine; }, &tag);                  // off-grid
   env.schedule(baseband::kTickPeriod, [&] { ++other; });
   env.cancel_owned(&tag);
   env.run_until(11_sec);
@@ -276,7 +187,7 @@ TEST(TimerWheelTest, StaleHandleAfterBucketReuseIsInert) {
   env.run_until(1_us);
   const TimerId id2 = env.schedule(250_ns, [&] { second = true; });
   EXPECT_NE(id1, id2);
-  env.cancel(id1);  // stale: must not touch id2's slot reuse
+  env.cancel(id1);  // stale: must not touch id2, which reuses the slot
   EXPECT_TRUE(env.pending(id2));
   env.run_until(2_us);
   EXPECT_TRUE(second);
@@ -297,31 +208,29 @@ TEST(TimerWheelTest, SteadyStateChurnPerformsZeroAllocations) {
       guards[static_cast<std::size_t>(g)] =
           env.schedule(baseband::kTickPeriod * (2 + g), [&fired] { ++fired; });
     }
-    env.schedule(33_ns, [&fired] { ++fired; });       // heap path too
+    env.schedule(33_ns, [&fired] { ++fired; });
     env.run(baseband::kTickPeriod);
   };
   for (int i = 0; i < 64; ++i) churn_round();
-  // Steady state: schedule/fire/cancel across both containers must not
-  // touch the global allocator at all.
+  // Steady state: schedule/fire/cancel must not touch the global
+  // allocator at all.
   const auto before = allocs();
   for (int i = 0; i < 1024; ++i) churn_round();
   EXPECT_EQ(allocs(), before);
   EXPECT_GT(fired, 0u);
 }
 
-// ---- wheel/heap dispatch equivalence (the swap-safety gate) ----
+// ---- dispatch-order pin ----
 
-/// Runs the paper's piconet-creation scenario with a VCD tracer and
-/// returns the VCD text. `wheel` selects the timing-wheel or the
-/// heap-only (pre-wheel kernel) dispatch path.
-std::string creation_vcd(bool wheel, const std::string& path) {
+/// Runs the paper's piconet-creation scenario (two slaves, noisy) with a
+/// VCD tracer and returns the VCD text.
+std::string creation_vcd(const std::string& path) {
   core::SystemConfig sc;
   sc.num_slaves = 2;
   sc.seed = 1234;
   sc.ber = 1.0 / 80;  // noisy: retries, backoffs, response timeouts
   sc.vcd_path = path;
   core::BluetoothSystem sys(sc);
-  sys.env().set_timer_wheel_enabled(wheel);
   for (int i = 0; i < 2; ++i) sys.slave(i).lc().enable_inquiry_scan();
   sys.master().lc().enable_inquiry();
   sys.run(80_ms);
@@ -332,18 +241,20 @@ std::string creation_vcd(bool wheel, const std::string& path) {
   return ss.str();
 }
 
-TEST(TimerWheelTest, VcdByteIdenticalAcrossWheelAndHeapDispatch) {
+TEST(TimerWheelTest, CreationVcdMatchesPinnedHash) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string base = ::testing::TempDir() + info->name();
-  const std::string a = creation_vcd(true, base + "_wheel.vcd");
-  const std::string b = creation_vcd(false, base + "_heap.vcd");
-  ASSERT_FALSE(a.empty());
-  // Byte-for-byte: every signal edge of the whole creation scenario at
-  // the same timestamp in the same order, wheel or not.
-  EXPECT_EQ(a, b);
-  std::remove((base + "_wheel.vcd").c_str());
-  std::remove((base + "_heap.vcd").c_str());
+  const std::string path = ::testing::TempDir() + info->name() + ".vcd";
+  const std::string vcd = creation_vcd(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(vcd.empty());
+  // FNV-1a 64 of the whole VCD: every signal edge of the scenario at the
+  // same timestamp in the same order. Any change to the kernel's
+  // (when, seq) dispatch order moves it; recorded with the slot-grid
+  // wheel kernel, whose dispatch order the heap-only queue reproduces.
+  const std::uint64_t hash = snapshot_checksum(
+      reinterpret_cast<const std::uint8_t*>(vcd.data()), vcd.size());
+  EXPECT_EQ(hash, 0x64b24bd95907bed3ull) << std::hex << "0x" << hash;
 }
 
 }  // namespace
