@@ -13,6 +13,7 @@
 // yet in the piconet keep their receiver always active (solid strip);
 // once joined, the receiver opens only at slot starts (sparse strip).
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -58,10 +59,13 @@ class ActivityStrip {
 
 int main(int argc, char** argv) {
   const auto args = core::BenchArgs::parse(argc, argv);
-  core::Report report(
+  core::TextReporter text(std::cout);
+  core::CsvReporter csv(std::cout);
+  core::Reporter& report =
+      args.csv ? static_cast<core::Reporter&>(csv) : text;
+  report.begin(
       "Fig. 5: piconet creation waveforms (master + 3 slaves); '='=RX on, "
-      "'#'=TX, '.'=RF off; one column = 10 ms",
-      args.csv);
+      "'#'=TX, '.'=RF off; one column = 10 ms");
 
   core::SystemConfig sc;
   sc.num_slaves = 3;
@@ -106,5 +110,6 @@ int main(int argc, char** argv) {
   }
   sys.finish_trace();
   std::printf("# waveform written to fig05.vcd\n");
+  report.end();
   return 0;
 }

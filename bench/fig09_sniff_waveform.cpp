@@ -7,6 +7,7 @@
 // pulses only at their sniff anchors, while slave 1 keeps listening at
 // every slot start.
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -18,10 +19,13 @@ using namespace btsc::sim::literals;
 
 int main(int argc, char** argv) {
   const auto args = core::BenchArgs::parse(argc, argv);
-  core::Report report(
+  core::TextReporter text(std::cout);
+  core::CsvReporter csv(std::cout);
+  core::Reporter& report =
+      args.csv ? static_cast<core::Reporter&>(csv) : text;
+  report.begin(
       "Fig. 9: slave2/slave3 in sniff mode (Tsniff = 16 slots, attempt 1); "
-      "strip: one column per slot, '=' RX on at slot start, '.' off",
-      args.csv);
+      "strip: one column per slot, '=' RX on at slot start, '.' off");
 
   core::SystemConfig sc;
   sc.num_slaves = 3;
@@ -32,6 +36,7 @@ int main(int argc, char** argv) {
   core::BluetoothSystem sys(sc);
   if (!sys.create_piconet()) {
     report.note("piconet creation failed (unexpected)");
+    report.end();
     return 1;
   }
   sys.run(100_ms);
@@ -69,5 +74,6 @@ int main(int argc, char** argv) {
   }
   sys.finish_trace();
   std::printf("# waveform written to fig09.vcd\n");
+  report.end();
   return 0;
 }

@@ -388,4 +388,7 @@ bash tests/integration/service_kill_resume_test.sh \
     ./build/bench/btsc-sweepd ./build/bench/btsc-sweep \
     "$gate_dir/service-kill-resume"
 
+echo "=== net src/ line count (tracked per PR in ROADMAP.md) ==="
+find src -type f | xargs cat | wc -l
+
 echo "=== CI OK ==="

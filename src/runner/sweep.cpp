@@ -24,85 +24,37 @@ int resolve_thread_count(int requested) {
 
 namespace detail {
 
-void run_task_grid(std::size_t total, int threads,
-                   const std::function<void(std::size_t)>& task,
-                   const std::atomic<bool>* stop) {
-  if (total == 0) return;
-
-  const auto stopping = [stop] {
-    return stop != nullptr && stop->load(std::memory_order_relaxed);
-  };
-
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < total; ++i) {
-      if (stopping()) return;
-      task(i);
-    }
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&] {
-    while (!failed.load(std::memory_order_relaxed) && !stopping()) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) return;
-      try {
-        task(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  // The calling thread works too, so `threads` is the total parallelism.
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads - 1));
-  try {
-    for (int t = 0; t < threads - 1; ++t) pool.emplace_back(worker);
-  } catch (...) {
-    // Thread creation failed mid-spawn (resource exhaustion): stop the
-    // workers that did start and join them before surfacing the error,
-    // or ~thread on a joinable thread would call std::terminate.
-    failed.store(true, std::memory_order_relaxed);
-    for (auto& th : pool) th.join();
-    throw;
-  }
-  worker();
-  for (auto& th : pool) th.join();
-
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-// ---- supervised execution --------------------------------------------------
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Retry backoff: kRetryBackoffMs before the first retry, doubled per
+/// attempt, capped at kMaxRetryBackoffMs.
+constexpr double kRetryBackoffMs = 10.0;
+constexpr double kMaxRetryBackoffMs = 10'000.0;
+
 /// State shared between the supervisor (calling thread), its workers,
 /// and any abandoned worker that outlives the grid run. Heap-owned via
 /// shared_ptr so nothing dangles no matter who exits last. All per-task
-/// bookkeeping is guarded by `mu`; `next` alone is lock-free.
+/// bookkeeping is guarded by `mu`; `next` and `failed` are lock-free.
 struct SupShared {
   enum class St : std::uint8_t { kPending, kRunning, kDone, kFailed,
                                  kAbandoned };
 
-  explicit SupShared(std::size_t n, SupervisorConfig c)
-      : total(n), cfg(c), state(n, St::kPending), start(n), attempts(n, 0),
-        worker_of(n, 0), cancel(n) {}
+  SupShared(std::size_t n, const SweepOptions& o,
+            const std::atomic<bool>* s)
+      : total(n), opt(o), stop(s), state(n, St::kPending), start(n),
+        attempts(n, 0), worker_of(n, 0), cancel(n) {}
 
   const std::size_t total;
-  const SupervisorConfig cfg;
+  const SweepOptions opt;
+  /// Cooperative drain flag (see SweepExecution::stop).
+  const std::atomic<bool>* const stop;
   std::function<void(std::size_t, CommitToken&)> task;
 
   std::atomic<std::size_t> next{0};
+  /// Fail-fast: an unsupervised attempt threw; claim nothing more.
+  std::atomic<bool> failed{false};
 
   std::mutex mu;
   std::condition_variable cv;  // signalled on every settle
@@ -122,15 +74,17 @@ void settle_locked(SupShared& sh) {
   sh.cv.notify_one();
 }
 
+/// True once workers must claim no new task: a drain was requested, or
+/// a fail-fast grid saw its first failure.
+bool sup_stopping(const SupShared& sh) {
+  return sh.failed.load(std::memory_order_relaxed) ||
+         (sh.stop != nullptr && sh.stop->load(std::memory_order_relaxed));
+}
+
 /// Worker loop: pull tasks from the shared counter, retry throwing
 /// attempts with exponential backoff, and exit immediately if the
 /// supervisor abandoned the current task (a replacement worker has
 /// already been spawned — continuing would double the pool).
-bool sup_stopping(const SupShared& sh) {
-  return sh.cfg.stop != nullptr &&
-         sh.cfg.stop->load(std::memory_order_relaxed);
-}
-
 void supervised_worker(const std::shared_ptr<SupShared>& sh,
                        std::size_t worker_id) {
   for (;;) {
@@ -177,13 +131,13 @@ void supervised_worker(const std::shared_ptr<SupShared>& sh,
         }
         break;
       }
-      if (attempt <= sh->cfg.max_retries) {
+      if (attempt <= sh->opt.max_retries) {
         sh->state[i] = SupShared::St::kPending;
         lock.unlock();
         // Exponential backoff, chunked so an abandon lands promptly.
-        double wait_ms =
-            sh->cfg.retry_backoff_ms * static_cast<double>(1 << (attempt - 1));
-        wait_ms = std::min(wait_ms, 10'000.0);
+        const double wait_ms =
+            std::min(kRetryBackoffMs * static_cast<double>(1 << (attempt - 1)),
+                     kMaxRetryBackoffMs);
         const auto until =
             Clock::now() + std::chrono::duration<double, std::milli>(wait_ms);
         while (Clock::now() < until &&
@@ -198,6 +152,9 @@ void supervised_worker(const std::shared_ptr<SupShared>& sh,
       }
       sh->state[i] = SupShared::St::kFailed;
       sh->failures.push_back({i, last_error, attempt, false});
+      if (!sh->opt.supervised()) {
+        sh->failed.store(true, std::memory_order_relaxed);
+      }
       settle_locked(*sh);
       break;
     }
@@ -216,16 +173,17 @@ bool CommitToken::commit(const std::function<void()>& publish) {
   return true;
 }
 
-void run_supervised_grid(std::size_t total, const SupervisorConfig& cfg,
+void run_supervised_grid(std::size_t total, const SweepOptions& opt,
+                         const std::atomic<bool>* stop,
                          const std::function<void(std::size_t, CommitToken&)>&
                              attempt,
                          std::vector<TaskFailure>& failures) {
+  const int workers = resolve_thread_count(opt.threads);
   if (total == 0) return;
 
-  auto sh = std::make_shared<SupShared>(total, cfg);
+  auto sh = std::make_shared<SupShared>(total, opt, stop);
   sh->task = attempt;
 
-  const int workers = std::max(1, cfg.threads);
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
   try {
@@ -241,15 +199,16 @@ void run_supervised_grid(std::size_t total, const SupervisorConfig& cfg,
     throw;
   }
 
-  const bool watchdog = cfg.rep_timeout_s > 0.0;
+  const bool watchdog = opt.rep_timeout_s > 0.0;
   const auto deadline =
-      std::chrono::duration<double>(watchdog ? cfg.rep_timeout_s : 0.0);
+      std::chrono::duration<double>(watchdog ? opt.rep_timeout_s : 0.0);
   {
     std::unique_lock<std::mutex> lock(sh->mu);
     while (sh->settled < sh->total) {
       if (sup_stopping(*sh)) {
-        // Drain: let running attempts finish (they still commit and
-        // journal), but stop waiting on tasks no worker will ever claim.
+        // Drain or fail-fast: let running attempts finish (they still
+        // commit and journal), but stop waiting on tasks no worker will
+        // ever claim.
         bool any_running = false;
         for (std::size_t i = 0; i < sh->total; ++i) {
           if (sh->state[i] == SupShared::St::kRunning) {
@@ -261,8 +220,9 @@ void run_supervised_grid(std::size_t total, const SupervisorConfig& cfg,
       }
       if (!watchdog) {
         // A bounded wait (instead of a bare cv.wait) keeps the drain
-        // check live even when no settle ever arrives.
-        if (cfg.stop != nullptr) {
+        // check live even when no settle ever arrives. A fail-fast stop
+        // needs none: the failing attempt settles under the lock.
+        if (stop != nullptr) {
           sh->cv.wait_for(lock, std::chrono::milliseconds(10));
         } else {
           sh->cv.wait(lock);
@@ -284,7 +244,7 @@ void run_supervised_grid(std::size_t total, const SupervisorConfig& cfg,
         sh->failures.push_back(
             {i,
              "replication deadline exceeded (" +
-                 std::to_string(cfg.rep_timeout_s) + " s)",
+                 std::to_string(opt.rep_timeout_s) + " s)",
              sh->attempts[i], true});
         settle_locked(*sh);
         const std::size_t wid = sh->worker_of[i];

@@ -15,17 +15,17 @@
 // count, which the runner determinism test asserts for 1, 2 and 8
 // threads.
 //
-// Beyond the plain grid the runner layers two robustness features, both
-// off by default and both preserving that contract:
+// One executor runs every grid (detail::run_supervised_grid): `threads`
+// spawned workers claim tasks from a shared counter, publish through a
+// commit fence, and stop claiming on a drain (SweepExecution::stop).
+// What happens on failure is the only thing the options choose, and
+// neither choice moves a bit of the merged result:
 //
-//  * Journaling/resume (SweepExecution::journal): every completed
-//    replication's sample is serialized and fsync'd to an append-only
-//    journal; a resumed run deserializes the journaled samples instead
-//    of re-running their bodies. Because a sample depends only on
-//    (p, r), replay-from-journal merges to bitwise-identical results —
-//    the kill-and-resume CI gate byte-compares the final artifacts.
+//  * Fail-fast (the default): the first throwing replication stops new
+//    claims, in-flight attempts finish, and run() rethrows the error
+//    wrapped with its (point, replication, seed).
 //
-//  * Supervision (SweepOptions::{rep_timeout_s, max_retries,
+//  * Supervised (SweepOptions::{rep_timeout_s, max_retries,
 //    keep_going}): a throwing replication is retried with exponential
 //    backoff and then quarantined — recorded as (point, replication,
 //    seed, error) in SweepExecution::quarantined — instead of aborting
@@ -33,6 +33,13 @@
 //    abandoned (its worker thread detached, a replacement spawned) and
 //    quarantined as a timeout. The surviving replications still merge
 //    deterministically.
+//
+// Journaling/resume (SweepExecution::journal) works under both: every
+// completed replication's sample is serialized and fsync'd to an
+// append-only journal; a resumed run deserializes the journaled samples
+// instead of re-running their bodies. Because a sample depends only on
+// (p, r), replay-from-journal merges to bitwise-identical results — the
+// kill-and-resume CI gate byte-compares the final artifacts.
 #pragma once
 
 #include <atomic>
@@ -75,10 +82,9 @@ struct Replication {
 
 /// Knobs of a sweep run.
 struct SweepOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency(). With 1
-  /// the sweep runs inline on the calling thread (no pool is spawned).
-  /// Under supervision the calling thread is the watchdog instead, so
-  /// `threads` workers are spawned even for 1.
+  /// Worker threads; 0 means std::thread::hardware_concurrency(). The
+  /// calling thread only waits (and watches deadlines when
+  /// rep_timeout_s > 0), so `threads` workers are spawned even for 1.
   int threads = 1;
   /// Independent replications per parameter point (>= 1).
   int replications = 1;
@@ -92,19 +98,17 @@ struct SweepOptions {
   /// (e.g. BER curves with many replications) want distinct streams.
   bool common_random_numbers = false;
 
-  // ---- supervision (any non-default value enables the supervisor) ----
+  // ---- supervision (any non-default value replaces fail-fast) ----
 
   /// Per-attempt deadline in seconds; a replication still running past
   /// it is abandoned and quarantined as a timeout. <= 0 disables the
   /// watchdog.
   double rep_timeout_s = 0.0;
   /// Extra attempts after a throwing replication before it is
-  /// quarantined (0 = fail/quarantine on the first throw). Timeouts are
-  /// never retried: a deterministic simulation that hung once will hang
-  /// again.
+  /// quarantined (0 = fail/quarantine on the first throw). Retries back
+  /// off 10 ms, doubled per attempt, capped at 10 s. Timeouts are never
+  /// retried: a deterministic simulation that hung once will hang again.
   int max_retries = 0;
-  /// Base backoff between retry attempts, doubled per attempt.
-  double retry_backoff_ms = 10.0;
   /// Quarantine failing replications and keep sweeping instead of
   /// aborting on the first error. Implied by rep_timeout_s/max_retries;
   /// set it alone to get quarantine semantics without deadline or retry.
@@ -160,16 +164,7 @@ int resolve_thread_count(int requested);
 
 namespace detail {
 
-/// Runs `task(i)` for every i in [0, total) on `threads` workers pulling
-/// from a shared atomic counter. Rethrows the first task exception on the
-/// calling thread after all workers have stopped. When `stop` is non-null
-/// and becomes set, workers finish their current task and claim no more.
-/// Defined in sweep.cpp.
-void run_task_grid(std::size_t total, int threads,
-                   const std::function<void(std::size_t)>& task,
-                   const std::atomic<bool>* stop = nullptr);
-
-/// Handed to a supervised task attempt: the only way to publish results.
+/// Handed to a task attempt: the only way to publish results.
 /// commit() runs `publish` under the supervisor lock iff the task has
 /// not been abandoned, so a deadline-abandoned attempt can never race
 /// its replacement or the final merge. Defined in sweep.cpp.
@@ -193,8 +188,8 @@ class CommitToken {
   const std::atomic<bool>* cancel_;
 };
 
-/// One quarantined task of a supervised grid, pre-mapping to
-/// (point, replication).
+/// One failed task of a grid run (quarantined, or the fail-fast error),
+/// pre-mapping to (point, replication).
 struct TaskFailure {
   std::size_t index = 0;
   std::string error;
@@ -202,23 +197,18 @@ struct TaskFailure {
   bool timed_out = false;
 };
 
-struct SupervisorConfig {
-  int threads = 1;
-  double rep_timeout_s = 0.0;
-  int max_retries = 0;
-  double retry_backoff_ms = 10.0;
-  /// Cooperative drain flag (see SweepExecution::stop).
-  const std::atomic<bool>* stop = nullptr;
-};
-
-/// Supervised grid executor: runs `attempt(i, token)` for every i in
-/// [0, total) on `cfg.threads` spawned workers while the calling thread
-/// watches per-attempt deadlines. Throwing attempts are retried with
-/// exponential backoff up to cfg.max_retries, then quarantined;
-/// deadline overruns abandon the worker (detach + replace) and
-/// quarantine immediately. Failures come back sorted by index. Defined
-/// in sweep.cpp.
-void run_supervised_grid(std::size_t total, const SupervisorConfig& cfg,
+/// The grid executor: runs `attempt(i, token)` for every i in
+/// [0, total) on `opt.threads` spawned workers (resolved with
+/// resolve_thread_count) while the calling thread waits, watching
+/// per-attempt deadlines when opt.rep_timeout_s > 0. Supervised
+/// (opt.supervised()): throwing attempts are retried with exponential
+/// backoff up to opt.max_retries, then quarantined; deadline overruns
+/// abandon the worker (detach + replace) and quarantine immediately.
+/// Otherwise (fail-fast) the first throwing attempt stops new claims,
+/// exactly as a set `stop` does. Either way in-flight attempts finish,
+/// and failures come back sorted by index. Defined in sweep.cpp.
+void run_supervised_grid(std::size_t total, const SweepOptions& opt,
+                         const std::atomic<bool>* stop,
                          const std::function<void(std::size_t, CommitToken&)>&
                              attempt,
                          std::vector<TaskFailure>& failures);
@@ -240,13 +230,14 @@ concept JournalableSample =
 /// Shards a sweep's replication grid across a thread pool.
 ///
 /// `Sample` is whatever one replication produces — a struct of
-/// stats::Accumulator / stats::RatioCounter partials, a plain row of
-/// numbers, anything movable. When replications > 1 it must expose
-/// `void merge(const Sample&)` (the parallel-reduction contract of
-/// stats::Accumulator::merge); with a single replication per point no
-/// merge is required. Journaled runs additionally need the
-/// save_state/restore_state pair (detail::JournalableSample).
+/// stats::Accumulator / stats::RatioCounter partials, a row of numbers,
+/// anything movable — that can fold another replication in
+/// (`void merge(const Sample&)`, the parallel-reduction contract of
+/// stats::Accumulator::merge) and round-trip through the journal
+/// (the save_state/restore_state pair).
 template <class Point, class Sample>
+  requires detail::MergeableSample<Sample> &&
+           detail::JournalableSample<Sample>
 class SweepRunner {
  public:
   /// point -> replication -> sample functor. Must not touch shared mutable
@@ -263,27 +254,14 @@ class SweepRunner {
   const SweepOptions& options() const { return options_; }
 
   /// Runs the full grid and returns one merged sample per point, in point
-  /// order. Unsupervised: exceptions thrown by `body` are rethrown here
-  /// (first wins) wrapped with the failing (point, replication, seed).
-  /// Supervised: failures land in `ex.quarantined` instead and the
-  /// surviving replications merge.
+  /// order. Fail-fast: an exception thrown by `body` (or by the journal
+  /// append) is rethrown here wrapped with the failing (point,
+  /// replication, seed) — the lowest-index one if several in-flight
+  /// attempts failed. Supervised: failures land in `ex.quarantined`
+  /// instead and the surviving replications merge.
   std::vector<Sample> run(const std::vector<Point>& points, const Body& body,
                           SweepExecution& ex) const {
     const auto reps = static_cast<std::size_t>(options_.replications);
-    if constexpr (!detail::MergeableSample<Sample>) {
-      // Reject up front, before any (possibly expensive) simulation runs.
-      if (reps > 1) {
-        throw std::logic_error(
-            "SweepRunner: Sample lacks merge() but replications > 1");
-      }
-    }
-    if constexpr (!detail::JournalableSample<Sample>) {
-      if (ex.journal != nullptr) {
-        throw std::logic_error(
-            "SweepRunner: Sample lacks save_state/restore_state but a "
-            "journal was requested");
-      }
-    }
     const std::size_t total = points.size() * reps;
 
     // Captures values, not `this`: a deadline-abandoned worker keeps a
@@ -306,41 +284,75 @@ class SweepRunner {
         std::make_shared<std::vector<std::optional<Sample>>>(total);
 
     // Replay journaled replications, then run only the remainder.
-    std::vector<std::size_t> pending;
-    pending.reserve(total);
+    auto pending = std::make_shared<std::vector<std::size_t>>();
+    pending->reserve(total);
     for (std::size_t i = 0; i < total; ++i) {
       const Replication rep = make_rep(i);
-      if constexpr (detail::JournalableSample<Sample>) {
-        if (ex.journal != nullptr) {
-          if (const SweepJournal::Record* rec = ex.journal->completed(
-                  rep.point_index, rep.replication_index)) {
-            if (rec->seed != rep.seed) {
-              throw JournalError(
-                  "journal: recorded seed mismatch at point=" +
-                  std::to_string(rep.point_index) + " replication=" +
-                  std::to_string(rep.replication_index) +
-                  " (journal from a different configuration?)");
-            }
-            sim::SnapshotReader r(rec->sample);
-            Sample s{};
-            s.restore_state(r);
-            if (!r.at_end()) {
-              throw sim::SnapshotError("journal: trailing sample bytes");
-            }
-            (*slots)[i].emplace(std::move(s));
-            ++ex.journal_skipped;
-            continue;
+      if (ex.journal != nullptr) {
+        if (const SweepJournal::Record* rec = ex.journal->completed(
+                rep.point_index, rep.replication_index)) {
+          if (rec->seed != rep.seed) {
+            throw JournalError(
+                "journal: recorded seed mismatch at point=" +
+                std::to_string(rep.point_index) + " replication=" +
+                std::to_string(rep.replication_index) +
+                " (journal from a different configuration?)");
           }
+          sim::SnapshotReader r(rec->sample);
+          Sample s{};
+          s.restore_state(r);
+          if (!r.at_end()) {
+            throw sim::SnapshotError("journal: trailing sample bytes");
+          }
+          (*slots)[i].emplace(std::move(s));
+          ++ex.journal_skipped;
+          continue;
         }
       }
-      pending.push_back(i);
+      pending->push_back(i);
     }
 
-    if (!options_.supervised()) {
-      run_plain(points, body, *slots, pending, make_rep, ex.journal,
-                ex.stop);
-    } else {
-      run_supervised(points, body, slots, pending, make_rep, ex);
+    // Everything an abandoned worker might still touch is owned by the
+    // attempt closure via shared_ptr copies: the closure (and thus the
+    // data) outlives run() for exactly as long as the detached thread
+    // needs it.
+    auto points_copy = std::make_shared<const std::vector<Point>>(points);
+    auto body_copy = std::make_shared<const Body>(body);
+    const auto attempt = [slots, points_copy, body_copy,
+                          journal = ex.journal, pending, make_rep](
+                             std::size_t k, detail::CommitToken& token) {
+      const std::size_t i = (*pending)[k];
+      Replication rep = make_rep(i);
+      rep.cancel = token.cancel_flag();
+      Sample s = (*body_copy)((*points_copy)[rep.point_index], rep);
+      token.commit([&] {
+        if (journal != nullptr) {
+          sim::SnapshotWriter w;
+          s.save_state(w);
+          journal->append(rep.point_index, rep.replication_index, rep.seed,
+                          w.take());
+        }
+        (*slots)[i].emplace(std::move(s));
+      });
+    };
+
+    std::vector<detail::TaskFailure> failures;
+    detail::run_supervised_grid(pending->size(), options_, ex.stop, attempt,
+                                failures);
+
+    for (const detail::TaskFailure& f : failures) {
+      const Replication rep = make_rep((*pending)[f.index]);
+      if (!options_.supervised()) {
+        throw std::runtime_error(replication_context(rep) + ": " + f.error);
+      }
+      QuarantineEntry q;
+      q.point_index = rep.point_index;
+      q.replication_index = rep.replication_index;
+      q.seed = rep.seed;
+      q.error = f.error;
+      q.attempts = f.attempts;
+      q.timed_out = f.timed_out;
+      ex.quarantined.push_back(std::move(q));
     }
 
     // A drain only "stopped" the run if replications are actually
@@ -367,7 +379,7 @@ class SweepRunner {
         if (!s.has_value()) continue;
         if (!acc.has_value()) {
           acc.emplace(std::move(*s));
-        } else if constexpr (detail::MergeableSample<Sample>) {
+        } else {
           acc->merge(*s);
         }
       }
@@ -383,105 +395,6 @@ class SweepRunner {
   }
 
  private:
-  /// Serializes a sample for the journal (guarded by JournalableSample
-  /// at the call sites).
-  static std::vector<std::uint8_t> encode_sample(const Sample& s)
-    requires detail::JournalableSample<Sample>
-  {
-    sim::SnapshotWriter w;
-    s.save_state(w);
-    return w.take();
-  }
-
-  template <class MakeRep>
-  void run_plain(const std::vector<Point>& points, const Body& body,
-                 std::vector<std::optional<Sample>>& slots,
-                 const std::vector<std::size_t>& pending,
-                 const MakeRep& make_rep, SweepJournal* journal,
-                 const std::atomic<bool>* stop) const {
-    detail::run_task_grid(
-        pending.size(), resolve_thread_count(options_.threads),
-        [&](std::size_t k) {
-          const std::size_t i = pending[k];
-          const Replication rep = make_rep(i);
-          try {
-            Sample s = body(points[rep.point_index], rep);
-            if constexpr (detail::JournalableSample<Sample>) {
-              if (journal != nullptr) {
-                journal->append(rep.point_index, rep.replication_index,
-                                rep.seed, encode_sample(s));
-              }
-            }
-            slots[i].emplace(std::move(s));
-          } catch (const std::exception& e) {
-            throw std::runtime_error(replication_context(rep) + ": " +
-                                     e.what());
-          } catch (...) {
-            throw std::runtime_error(replication_context(rep) +
-                                     ": unknown error");
-          }
-        },
-        stop);
-  }
-
-  template <class MakeRep>
-  void run_supervised(
-      const std::vector<Point>& points, const Body& body,
-      const std::shared_ptr<std::vector<std::optional<Sample>>>& slots,
-      const std::vector<std::size_t>& pending, const MakeRep& make_rep,
-      SweepExecution& ex) const {
-    // Everything an abandoned worker might still touch is owned by the
-    // attempt closure via shared_ptr copies: the closure (and thus the
-    // data) outlives run() for exactly as long as the detached thread
-    // needs it.
-    auto points_copy = std::make_shared<const std::vector<Point>>(points);
-    auto body_copy = std::make_shared<const Body>(body);
-    SweepJournal* journal = ex.journal;
-
-    detail::SupervisorConfig cfg;
-    cfg.threads = resolve_thread_count(options_.threads);
-    cfg.rep_timeout_s = options_.rep_timeout_s;
-    cfg.max_retries = options_.max_retries;
-    cfg.retry_backoff_ms = options_.retry_backoff_ms;
-    cfg.stop = ex.stop;
-
-    auto pending_copy = std::make_shared<const std::vector<std::size_t>>(
-        pending);
-    auto make_rep_copy = make_rep;
-    const auto attempt = [slots, points_copy, body_copy, journal,
-                          pending_copy, make_rep_copy](
-                             std::size_t k, detail::CommitToken& token) {
-      const std::size_t i = (*pending_copy)[k];
-      Replication rep = make_rep_copy(i);
-      rep.cancel = token.cancel_flag();
-      Sample s = (*body_copy)((*points_copy)[rep.point_index], rep);
-      token.commit([&] {
-        if constexpr (detail::JournalableSample<Sample>) {
-          if (journal != nullptr) {
-            journal->append(rep.point_index, rep.replication_index, rep.seed,
-                            encode_sample(s));
-          }
-        }
-        (*slots)[i].emplace(std::move(s));
-      });
-    };
-
-    std::vector<detail::TaskFailure> failures;
-    detail::run_supervised_grid(pending.size(), cfg, attempt, failures);
-
-    for (const detail::TaskFailure& f : failures) {
-      const Replication rep = make_rep(pending[f.index]);
-      QuarantineEntry q;
-      q.point_index = rep.point_index;
-      q.replication_index = rep.replication_index;
-      q.seed = rep.seed;
-      q.error = f.error;
-      q.attempts = f.attempts;
-      q.timed_out = f.timed_out;
-      ex.quarantined.push_back(std::move(q));
-    }
-  }
-
   static std::string replication_context(const Replication& rep) {
     return "sweep replication failed: point=" +
            std::to_string(rep.point_index) +

@@ -126,7 +126,6 @@ TEST(SupervisionTest, RetryRecoversTransientFailure) {
   opt.replications = 2;
   opt.base_seed = 7;
   opt.max_retries = 2;
-  opt.retry_backoff_ms = 0.1;
   SweepRunner<TestPoint, TestSample> runner(opt);
   const auto points = grid_points();
 
@@ -154,7 +153,6 @@ TEST(SupervisionTest, RetriesExhaustedRecordsAttemptCount) {
   SweepOptions opt;
   opt.replications = 1;
   opt.max_retries = 2;
-  opt.retry_backoff_ms = 0.1;
   SweepRunner<TestPoint, TestSample> runner(opt);
 
   SweepExecution ex;
