@@ -170,7 +170,8 @@ cmake --build build-asan -j "$jobs" --target \
       runner_test_sweep runner_test_determinism \
       core_test_checkpoint runner_test_checkpoint_sweep \
       sim_test_checkpoint_store runner_test_journal runner_test_supervision \
-      io_test_fault_plan runner_test_warmup_store service_test_sweepd
+      io_test_fault_plan runner_test_warmup_store service_test_sweepd \
+      runner_test_study_golden
 # sim_test_scheduler/sim_test_timer_queue/sim_test_tracer exercise the
 # timed queue's dispatch and cancellation paths (heap removal,
 # schedule/cancel churn, slot reuse, mid-instant removal, the pinned
@@ -214,6 +215,9 @@ cmake --build build-asan -j "$jobs" --target \
 # whole sweep service in-process — job codec, worker pool, recovery
 # scan, Unix-socket front end — with real jobs and real sockets, which
 # is exactly the kind of fd/thread lifecycle code sanitizers exist for.
+# runner_test_study_golden is the one test that drives every study's
+# legacy replication (warm-up on the replication seed, then the measure
+# stage with no reseed) as well as its cold one, end to end.
 for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
          baseband_test_framing_word phy_test_burst_transport \
@@ -224,7 +228,8 @@ for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          core_test_checkpoint runner_test_checkpoint_sweep \
          sim_test_checkpoint_store runner_test_journal \
          runner_test_supervision \
-         io_test_fault_plan runner_test_warmup_store service_test_sweepd; do
+         io_test_fault_plan runner_test_warmup_store service_test_sweepd \
+         runner_test_study_golden; do
   "./build-asan/tests/$t"
 done
 

@@ -72,8 +72,11 @@ struct LcConfig {
   std::uint32_t inquiry_backoff_max_slots = 1023;
   /// Inquiry scan window (slots) per scan interval; 0 = scan
   /// continuously. The spec default (11.25 ms window every 1.28 s) is
-  /// what makes the paper's noiseless inquiry take ~1556 slots on
-  /// average and fail a quarter of the time against the 1.28 s timeout.
+  /// what makes noiseless inquiry slow and fail a quarter of the time
+  /// against the 1.28 s timeout. Its successful runs average 1254 +/- 35
+  /// slots (95% CI; `btsc-sweep --fig 6 --seeds 1000 --max-points 1`,
+  /// 750/1000 succeed) against the paper's ~1556: an open deviation
+  /// (ROADMAP item 1).
   std::uint32_t inquiry_scan_window_slots = 18;
   std::uint32_t inquiry_scan_interval_slots = 2048;
   /// Interlaced scan (spec 1.2 feature): immediately after the normal

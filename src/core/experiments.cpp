@@ -25,35 +25,8 @@ baseband::LcConfig reliable_lc() {
   return lc;
 }
 
-/// A connected system plus the seed whose construction path produced it
-/// (creation retries perturb the seed; a snapshot scaffold must replay
-/// the successful construction, not the first attempt's).
-struct BuiltConnected {
-  std::unique_ptr<BluetoothSystem> system;
-  std::uint64_t seed = 0;
-};
-
-/// Builds a connected 2-device system or throws (seed is perturbed until
-/// creation succeeds; noiseless creation with long timeouts practically
-/// always succeeds on the first try).
-BuiltConnected connected_system_seeded(SystemConfig cfg,
-                                       int max_attempts = 5) {
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    auto sys = std::make_unique<BluetoothSystem>(cfg);
-    if (sys->create_piconet()) return {std::move(sys), cfg.seed};
-    cfg.seed += 7919;
-  }
-  throw std::runtime_error("connected_system: piconet creation failed");
-}
-
-std::unique_ptr<BluetoothSystem> connected_system(SystemConfig cfg,
-                                                  int max_attempts = 5) {
-  return connected_system_seeded(cfg, max_attempts).system;
-}
-
-// ---- per-family system configurations (shared by the legacy one-shot
-//      runners and the staged warm-up/scaffold pair, so both construct
-//      byte-identical systems) ----
+// ---- per-family system configurations (shared by each family's
+//      warm-up and scaffold, so both construct byte-identical systems) ----
 
 SystemConfig creation_config(double ber, std::uint32_t timeout_slots,
                              std::uint64_t seed) {
@@ -119,9 +92,9 @@ SystemConfig throughput_system_config(baseband::PacketType type,
   return sc;
 }
 
-// ---- measure stages (everything after the warm-up boundary; shared by
-//      the legacy runners, which call them without reseeding, and the
-//      staged run_*_from entry points, which reseed first) ----
+}  // namespace
+
+// ---- measure stages (everything after the warm-up boundary) ----
 
 CreationSample measure_creation(BluetoothSystem& sys) {
   CreationSample out;
@@ -135,6 +108,11 @@ CreationSample measure_creation(BluetoothSystem& sys) {
   out.page_success = page.success;
   out.page_slots = page.slots;
   return out;
+}
+
+BackoffSample measure_backoff(BluetoothSystem& sys) {
+  const PhaseResult r = sys.run_inquiry();
+  return BackoffSample{r.success, r.slots};
 }
 
 MasterActivityRow measure_master_activity(BluetoothSystem& sys, double duty,
@@ -271,8 +249,6 @@ CoexistenceRow measure_coexistence(TwoPiconets& net,
   return row;
 }
 
-}  // namespace
-
 void CreationPoint::add(const CreationSample& s) {
   inquiry_ok.add(s.inquiry_success);
   if (s.inquiry_success) {
@@ -309,68 +285,7 @@ void CreationPoint::restore_state(sim::SnapshotReader& r) {
   page_ok.restore_state(r);
 }
 
-CreationSample run_creation_replication(double ber, std::uint64_t seed,
-                                        std::uint32_t timeout_slots) {
-  BluetoothSystem sys(creation_config(ber, timeout_slots, seed));
-  return measure_creation(sys);
-}
-
-CreationPoint run_creation_point(double ber, const CreationConfig& cfg) {
-  CreationPoint point;
-  point.ber = ber;
-  for (int s = 0; s < cfg.seeds; ++s) {
-    point.add(run_creation_replication(
-        ber, cfg.base_seed + static_cast<std::uint64_t>(s),
-        cfg.timeout_slots));
-  }
-  return point;
-}
-
-BackoffSample run_backoff_replication(std::uint32_t backoff_max_slots,
-                                      std::uint64_t seed) {
-  BluetoothSystem sys(backoff_config(backoff_max_slots, seed));
-  const PhaseResult r = sys.run_inquiry();
-  return BackoffSample{r.success, r.slots};
-}
-
-MasterActivityRow run_master_activity(double duty,
-                                      const MasterActivityConfig& cfg) {
-  auto sys = connected_system(master_activity_config(cfg.seed));
-  return measure_master_activity(*sys, duty, cfg);
-}
-
-SlaveActivityRow run_sniff_activity(std::optional<std::uint32_t> tsniff,
-                                    const SniffActivityConfig& cfg) {
-  auto sys = connected_system(sniff_activity_config(cfg.seed));
-  return measure_sniff_activity(*sys, tsniff, cfg);
-}
-
-SlaveActivityRow run_hold_activity(std::optional<std::uint32_t> thold,
-                                   const HoldActivityConfig& cfg) {
-  auto sys = connected_system(hold_activity_config(cfg.seed));
-  return measure_hold_activity(*sys, thold, cfg);
-}
-
-ThroughputRow run_throughput(baseband::PacketType type, double ber,
-                             const ThroughputConfig& cfg) {
-  auto sys = connected_system(throughput_system_config(type, cfg.seed));
-  return measure_throughput(*sys, type, ber, cfg);
-}
-
-CoexistenceRow run_coexistence(std::uint32_t neighbour_period_slots,
-                               const CoexistenceRunConfig& cfg) {
-  CoexistenceConfig cc;
-  cc.seed = cfg.seed;
-  TwoPiconets net(cc);
-  if (!net.create(0) || !net.create(1)) {
-    throw std::runtime_error("run_coexistence: piconet creation failed");
-  }
-  return measure_coexistence(net, neighbour_period_slots, cfg);
-}
-
-// ---------------------------------------------------------------------------
-// Staged (checkpoint/fork) variants
-// ---------------------------------------------------------------------------
+// ---- warm-ups, scaffolds and reseeded measures ----
 
 std::unique_ptr<BluetoothSystem> make_creation_system(
     double ber, std::uint32_t timeout_slots, std::uint64_t seed) {
@@ -395,21 +310,23 @@ std::unique_ptr<BluetoothSystem> make_backoff_system(
   return sys;
 }
 
-BackoffSample run_backoff_from(BluetoothSystem& sys,
-                               std::uint64_t replication_seed) {
-  sys.env().rng().reseed(replication_seed);
-  sys.randomize_slave_clocks();
-  const PhaseResult r = sys.run_inquiry();
-  return BackoffSample{r.success, r.slots};
-}
-
 namespace {
 
-/// Shared shape of the connected-phase warm-ups/scaffolds.
+/// Shared shape of the connected-phase warm-ups: builds a connected
+/// 2-device system or throws. Creation retries perturb the seed, so the
+/// result carries the seed whose construction succeeded (noiseless
+/// creation with long timeouts practically always succeeds on the first
+/// try).
 ConnectedWarmup connected_warmup(SystemConfig cfg) {
-  auto built = connected_system_seeded(std::move(cfg));
-  built.system->env().settle();
-  return {std::move(built.system), built.seed};
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    auto sys = std::make_unique<BluetoothSystem>(cfg);
+    if (sys->create_piconet()) {
+      sys->env().settle();
+      return {std::move(sys), cfg.seed};
+    }
+    cfg.seed += 7919;
+  }
+  throw std::runtime_error("connected warm-up: piconet creation failed");
 }
 
 std::unique_ptr<BluetoothSystem> connected_scaffold(SystemConfig cfg) {
@@ -477,13 +394,6 @@ std::unique_ptr<BluetoothSystem> throughput_scaffold(
   return connected_scaffold(throughput_system_config(type, construction_seed));
 }
 
-ThroughputRow run_throughput_from(BluetoothSystem& sys,
-                                  baseband::PacketType type, double ber,
-                                  const ThroughputConfig& cfg) {
-  sys.env().rng().reseed(cfg.seed);
-  return measure_throughput(sys, type, ber, cfg);
-}
-
 std::unique_ptr<TwoPiconets> coexistence_scaffold(std::uint64_t seed) {
   CoexistenceConfig cc;
   cc.seed = seed;
@@ -498,13 +408,6 @@ std::unique_ptr<TwoPiconets> coexistence_warmup(std::uint64_t warm_seed) {
     throw std::runtime_error("coexistence warm-up: piconet creation failed");
   }
   return net;
-}
-
-CoexistenceRow run_coexistence_from(TwoPiconets& net,
-                                    std::uint32_t neighbour_period_slots,
-                                    const CoexistenceRunConfig& cfg) {
-  net.env().rng().reseed(cfg.seed);
-  return measure_coexistence(net, neighbour_period_slots, cfg);
 }
 
 }  // namespace btsc::core

@@ -1,23 +1,19 @@
-// Experiment runners: one function per figure of the paper, plus the
+// Experiment stages: one family per figure of the paper, plus the
 // packet-type throughput analysis the paper names as a goal of the model.
 //
-// Three levels of API:
-//  * run_*_replication / run_* — ONE independent simulation from ONE
-//    seed. These are the bodies handed to runner::SweepRunner, which
-//    shards them across threads; they must derive all randomness from
-//    the seed they are given and touch no shared state.
-//  * run_* point/row functions — serial convenience wrappers aggregating
-//    a default replication count, used by the unit tests.
-//  * staged (checkpoint/fork) variants — the same replication split into
-//    an explicit warm-up stage (driven by a dedicated warm-up seed,
-//    shared by every replication of a point) and a measure stage (driven
-//    by the replication seed, applied by reseeding the environment RNG
-//    at the stage boundary). A cold staged replication re-runs the
-//    warm-up; a forked one restores it from a snapshot -- both produce
-//    bitwise-identical samples, which the runner's forked-vs-cold gates
-//    assert.
-//
-// Benches print the rows; tests run reduced configurations.
+// Every family cuts its replication at a measurement boundary into:
+//   warm-up  — builds the system from a seed and simulates the
+//              replication-independent prefix (construction only for the
+//              creation and backoff families; piconet creation for the
+//              connected-phase studies). Ends at a settled, snapshotable
+//              instant.
+//   scaffold — re-runs ONLY the construction path of the warm-up (the
+//              structural twin a snapshot restores into).
+//   measure_* — simulates the measured window on whatever RNG stream the
+//              system holds; it takes no seed.
+// runner/scenarios.cpp composes them into the one sweep replication
+// body (see "stages" below); run_*_from is the boundary reseed followed
+// by the measure stage.
 #pragma once
 
 #include <cstdint>
@@ -41,16 +37,6 @@ inline constexpr std::uint64_t kWarmupReplicationIndex =
     0xFFFFFFFFFFFFFFFFull;
 
 // ---- Figs. 6-8: piconet creation vs BER ----
-
-/// Knobs of the creation experiment (Figs. 6-8).
-struct CreationConfig {
-  /// Independent replications per BER point.
-  int seeds = 20;
-  /// Inquiry and page timeout, in slots. Paper: both 1.28 s (2048 slots).
-  std::uint32_t timeout_slots = 2048;
-  /// First replication seed; replication s runs with base_seed + s.
-  std::uint64_t base_seed = 1000;
-};
 
 /// Outcome of ONE 2-device creation attempt (one replication).
 struct CreationSample {
@@ -91,14 +77,6 @@ struct CreationPoint {
   void restore_state(sim::SnapshotReader& r);
 };
 
-/// Runs ONE 2-device creation (inquiry, then page if the inquiry
-/// succeeded) at the given BER from the given seed.
-CreationSample run_creation_replication(double ber, std::uint64_t seed,
-                                        std::uint32_t timeout_slots);
-
-/// Simulates `cfg.seeds` independent 2-device creations at the given BER.
-CreationPoint run_creation_point(double ber, const CreationConfig& cfg);
-
 // ---- Ablation: inquiry backoff ceiling ----
 
 /// One noiseless inquiry run with a non-default random-backoff ceiling
@@ -108,9 +86,6 @@ struct BackoffSample {
   bool success = false;
   std::uint64_t slots = 0;
 };
-
-BackoffSample run_backoff_replication(std::uint32_t backoff_max_slots,
-                                      std::uint64_t seed);
 
 // ---- Fig. 10: master RF activity vs channel duty cycle ----
 
@@ -124,16 +99,14 @@ struct MasterActivityRow {
 };
 
 struct MasterActivityConfig {
-  /// Simulation seed (sweeps derive one per replication).
+  /// Replication seed run_master_activity_from reseeds with;
+  /// measure_master_activity ignores it.
   std::uint64_t seed = 1;
   /// Length of the measurement window, in slots.
   std::uint32_t measure_slots = 20000;
   /// Payload per message; 1-byte DM1 packets, as in the paper.
   std::size_t payload_bytes = 1;
 };
-
-MasterActivityRow run_master_activity(double duty,
-                                      const MasterActivityConfig& cfg);
 
 // ---- Fig. 11: slave RF activity, active vs sniff ----
 
@@ -145,7 +118,8 @@ struct SlaveActivityRow {
 };
 
 struct SniffActivityConfig {
-  /// Simulation seed (sweeps derive one per replication).
+  /// Replication seed run_sniff_activity_from reseeds with;
+  /// measure_sniff_activity ignores it.
   std::uint64_t seed = 1;
   /// Master sends data to the slave with this fixed period (paper: 100).
   std::uint32_t data_period_slots = 100;
@@ -155,25 +129,17 @@ struct SniffActivityConfig {
   std::size_t payload_bytes = 17;
 };
 
-/// tsniff == nullopt measures the active-mode baseline.
-SlaveActivityRow run_sniff_activity(std::optional<std::uint32_t> tsniff,
-                                    const SniffActivityConfig& cfg);
-
 // ---- Fig. 12: slave RF activity, active vs hold ----
 
 struct HoldActivityConfig {
-  /// Simulation seed (sweeps derive one per replication).
+  /// Replication seed run_hold_activity_from reseeds with;
+  /// measure_hold_activity ignores it.
   std::uint64_t seed = 1;
   /// Gap between consecutive hold cycles (covers resynchronisation).
   std::uint32_t inter_hold_gap_slots = 8;
   /// Measure at least this many slots (and >= 6 hold cycles).
   std::uint32_t min_measure_slots = 20000;
 };
-
-/// thold == nullopt measures the idle active-mode baseline (the paper's
-/// flat 2.6% line).
-SlaveActivityRow run_hold_activity(std::optional<std::uint32_t> thold,
-                                   const HoldActivityConfig& cfg);
 
 // ---- Extension: packet type vs throughput under noise (paper section 2
 //      lists this analysis as a design goal of the model) ----
@@ -192,14 +158,9 @@ struct ThroughputRow {
 };
 
 struct ThroughputConfig {
-  /// Simulation seed (sweeps derive one per replication).
-  std::uint64_t seed = 1;
   /// Length of the measurement window, in slots.
   std::uint32_t measure_slots = 8000;
 };
-
-ThroughputRow run_throughput(baseband::PacketType type, double ber,
-                             const ThroughputConfig& cfg);
 
 // ---- Extension: coexistence of two piconets on one 79-channel medium ----
 
@@ -215,53 +176,41 @@ struct CoexistenceRow {
 };
 
 struct CoexistenceRunConfig {
-  /// Simulation seed (sweeps derive one per replication).
-  std::uint64_t seed = 2030;
   /// Length of the measurement window, in slots.
   std::uint32_t measure_slots = 24000;
   /// Payload per message on both links (17 bytes = full DM1).
   std::size_t payload_bytes = 17;
 };
 
-/// Builds two coexisting piconets, saturates the victim link and ramps
-/// the neighbour's offered load; one call = one replication.
-CoexistenceRow run_coexistence(std::uint32_t neighbour_period_slots,
-                               const CoexistenceRunConfig& cfg);
-
-// ---- staged (checkpoint/fork) variants ----
+// ---- stages ----
 //
-// Every family splits into:
-//   warm-up  — builds the system with the warm-up seed and simulates the
-//              replication-independent prefix (for the creation family
-//              that is construction only; for the connected-phase
-//              studies it is piconet creation). Ends at a settled,
-//              snapshotable instant.
-//   scaffold — re-runs ONLY the construction path of the warm-up (the
-//              structural twin a snapshot restores into).
-//   run_*_from — the measure stage: reseeds the environment RNG with the
-//              replication seed and simulates the measured window.
-//
-// Cold fork:  measure(warmup(point, warm_seed), rep_seed)
-// Warm fork:  bytes = warmup(...).save_snapshot()  [once per point]
-//             sys = scaffold(...); sys.restore_snapshot(bytes);
-//             measure(sys, rep_seed)
-// Both paths reach the boundary in the identical state, so the samples
-// are bitwise equal.
+// Legacy:  sys = warmup(point, rep_seed); measure(sys)
+// Cold:    sys = warmup(point, warm_seed); reseed(sys, rep_seed);
+//          measure(sys)
+// Fork:    bytes = warmup(point, warm_seed).save_snapshot()  [once/point]
+//          sys = scaffold(...); sys.restore_snapshot(bytes);
+//          reseed(sys, rep_seed); measure(sys)
+// Cold and fork reach the boundary in the identical state, so their
+// samples are bitwise equal. The reseed draws the environment RNG from
+// the replication seed; the construction-only warm-ups (creation,
+// backoff) also re-randomise the slave clocks, the per-replication
+// randomness construction drew.
 
 /// Creation family (Figs. 6-8): the warm-up is construction at t = 0.
 std::unique_ptr<BluetoothSystem> make_creation_system(
     double ber, std::uint32_t timeout_slots, std::uint64_t seed);
-/// Reseeds with `replication_seed`, re-randomises the slave clocks (the
-/// per-replication randomness the legacy path drew at construction) and
-/// runs inquiry + page.
+/// Runs inquiry, then page if the inquiry succeeded.
+CreationSample measure_creation(BluetoothSystem& sys);
+/// Reseeds with `replication_seed`, re-randomises the slave clocks and
+/// runs measure_creation.
 CreationSample run_creation_from(BluetoothSystem& sys,
                                  std::uint64_t replication_seed);
 
 /// Backoff ablation: same shape as the creation family.
 std::unique_ptr<BluetoothSystem> make_backoff_system(
     std::uint32_t backoff_max_slots, std::uint64_t seed);
-BackoffSample run_backoff_from(BluetoothSystem& sys,
-                               std::uint64_t replication_seed);
+/// Runs one inquiry.
+BackoffSample measure_backoff(BluetoothSystem& sys);
 
 /// Connected-phase warm-up result: creation retries perturb the seed, so
 /// the scaffold must be constructed from the seed that finally succeeded.
@@ -274,6 +223,8 @@ struct ConnectedWarmup {
 ConnectedWarmup master_activity_warmup(std::uint64_t warm_seed);
 std::unique_ptr<BluetoothSystem> master_activity_scaffold(
     std::uint64_t construction_seed);
+MasterActivityRow measure_master_activity(BluetoothSystem& sys, double duty,
+                                          const MasterActivityConfig& cfg);
 /// cfg.seed is the replication seed here (reseeds at the boundary).
 MasterActivityRow run_master_activity_from(BluetoothSystem& sys, double duty,
                                            const MasterActivityConfig& cfg);
@@ -281,6 +232,10 @@ MasterActivityRow run_master_activity_from(BluetoothSystem& sys, double duty,
 ConnectedWarmup sniff_activity_warmup(std::uint64_t warm_seed);
 std::unique_ptr<BluetoothSystem> sniff_activity_scaffold(
     std::uint64_t construction_seed);
+/// tsniff == nullopt measures the active-mode baseline.
+SlaveActivityRow measure_sniff_activity(BluetoothSystem& sys,
+                                        std::optional<std::uint32_t> tsniff,
+                                        const SniffActivityConfig& cfg);
 SlaveActivityRow run_sniff_activity_from(BluetoothSystem& sys,
                                          std::optional<std::uint32_t> tsniff,
                                          const SniffActivityConfig& cfg);
@@ -288,6 +243,11 @@ SlaveActivityRow run_sniff_activity_from(BluetoothSystem& sys,
 ConnectedWarmup hold_activity_warmup(std::uint64_t warm_seed);
 std::unique_ptr<BluetoothSystem> hold_activity_scaffold(
     std::uint64_t construction_seed);
+/// thold == nullopt measures the idle active-mode baseline (the paper's
+/// flat 2.6% line).
+SlaveActivityRow measure_hold_activity(BluetoothSystem& sys,
+                                       std::optional<std::uint32_t> thold,
+                                       const HoldActivityConfig& cfg);
 SlaveActivityRow run_hold_activity_from(BluetoothSystem& sys,
                                         std::optional<std::uint32_t> thold,
                                         const HoldActivityConfig& cfg);
@@ -298,17 +258,19 @@ ConnectedWarmup throughput_warmup(baseband::PacketType type,
                                   std::uint64_t warm_seed);
 std::unique_ptr<BluetoothSystem> throughput_scaffold(
     baseband::PacketType type, std::uint64_t construction_seed);
-ThroughputRow run_throughput_from(BluetoothSystem& sys,
-                                  baseband::PacketType type, double ber,
-                                  const ThroughputConfig& cfg);
+/// Dials `ber` into the channel and saturates the master->slave link.
+ThroughputRow measure_throughput(BluetoothSystem& sys,
+                                 baseband::PacketType type, double ber,
+                                 const ThroughputConfig& cfg);
 
 /// Coexistence: creation retries re-enable scanning inside one
 /// environment (no reconstruction), so scaffold and warm-up share the
 /// seed. The warm-up throws if either piconet fails to form.
 std::unique_ptr<TwoPiconets> coexistence_scaffold(std::uint64_t seed);
 std::unique_ptr<TwoPiconets> coexistence_warmup(std::uint64_t warm_seed);
-CoexistenceRow run_coexistence_from(TwoPiconets& net,
-                                    std::uint32_t neighbour_period_slots,
-                                    const CoexistenceRunConfig& cfg);
+/// Saturates the victim link and ramps the neighbour's offered load.
+CoexistenceRow measure_coexistence(TwoPiconets& net,
+                                   std::uint32_t neighbour_period_slots,
+                                   const CoexistenceRunConfig& cfg);
 
 }  // namespace btsc::core

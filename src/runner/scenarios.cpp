@@ -198,13 +198,6 @@ std::uint64_t warm_seed_for(std::uint64_t base_seed, bool crn,
                                       core::kWarmupReplicationIndex);
 }
 
-/// A study's per-replication config: its fixed knobs plus the seed.
-template <class Config>
-Config seeded(Config cfg, std::uint64_t seed) {
-  cfg.seed = seed;
-  return cfg;
-}
-
 /// A warm-up's result: the system at the measurement boundary and the
 /// seed its construction ran on (core::ConnectedWarmup's shape).
 template <class Sys>
@@ -213,35 +206,43 @@ struct Warmed {
   std::uint64_t construction_seed = 0;
 };
 
+/// Reseeds a construction-only warm-up (creation, backoff) at the
+/// measurement boundary: the environment stream, and the slave clock
+/// phases construction drew from the warm-up seed.
+void reseed_construction(System& sys, std::uint64_t seed) {
+  sys.env().rng().reseed(seed);
+  sys.randomize_slave_clocks();
+}
+
 /// The replication body of Study `S` under the requested warm-up mode.
 /// A Study cuts one family's replication at the measurement boundary
 /// into thin wrappers over core/experiments.hpp:
-///   legacy(point, rep_seed) -> Sample     the single-stage replication
-///   warmup(point, warm_seed) -> Warmed    {system, construction_seed}
+///   warmup(point, seed) -> Warmed         {system, construction_seed}
 ///   scaffold(point, construction_seed)    a fork's restore target
 ///   recipe(point) -> Recipe               the checkpoint recipe blob
-///   measure(system&, point, rep_seed)     the measured window -> Sample
-/// This builder is the only reader of req.warmup: it stamps the staging
-/// flag, derives the warm-up seeds from the resolved options, and owns
-/// fork mode's image cache and durable store. Cold measures on the very
-/// system the warm-up built, never a snapshot: it is the fork's oracle.
+///   reseed(system&, rep_seed)             the boundary reseed
+///   measure(system&, point) -> Sample     the measured window
+/// Every mode runs warm-up, then measure. This builder is the only
+/// reader of req.warmup, which picks the warm-up seed (the replication
+/// seed in legacy mode, the point's warm-up seed otherwise), skips the
+/// reseed in legacy mode, and selects fork's image cache and durable
+/// store. Cold measures on the very system the warm-up built, never a
+/// snapshot: it is the fork's oracle.
 template <class S>
 typename SweepRunner<typename S::Point, typename S::Sample>::Body staged_body(
     const S& study, const ScenarioInfo& info, const ScenarioRequest& req,
     const SweepOptions& opt, std::size_t n_points, SweepResult& out) {
   using Point = typename S::Point;
-  out.staged_warmup = req.warmup != WarmupMode::kLegacy;
-  if (req.warmup == WarmupMode::kLegacy) {
-    return [study](const Point& p, const Replication& rep) {
-      return study.legacy(p, rep.seed);
-    };
-  }
+  const bool legacy = req.warmup == WarmupMode::kLegacy;
+  out.staged_warmup = !legacy;
   const std::uint64_t base = opt.base_seed;
   const bool crn = opt.common_random_numbers;
-  if (req.warmup == WarmupMode::kCold) {
-    return [study, base, crn](const Point& p, const Replication& rep) {
-      auto w = study.warmup(p, warm_seed_for(base, crn, rep.point_index));
-      return study.measure(*w.system, p, rep.seed);
+  if (req.warmup != WarmupMode::kFork) {
+    return [study, base, crn, legacy](const Point& p, const Replication& rep) {
+      auto w = study.warmup(
+          p, legacy ? rep.seed : warm_seed_for(base, crn, rep.point_index));
+      if (!legacy) study.reseed(*w.system, rep.seed);
+      return study.measure(*w.system, p);
     };
   }
   auto cache = std::make_shared<WarmupCache>(n_points,
@@ -255,7 +256,8 @@ typename SweepRunner<typename S::Point, typename S::Sample>::Body staged_body(
         });
     auto sys = study.scaffold(p, img.construction_seed);
     sys->restore_snapshot(img.bytes);
-    return study.measure(*sys, p, rep.seed);
+    study.reseed(*sys, rep.seed);
+    return study.measure(*sys, p);
   };
 }
 
@@ -358,9 +360,6 @@ struct CreationStudy {
   using Sample = core::CreationPoint;
   static constexpr std::uint32_t kTimeout = 2048;  // slots; paper: 1.28 s
 
-  Sample legacy(double ber, std::uint64_t seed) const {
-    return sample(ber, core::run_creation_replication(ber, seed, kTimeout));
-  }
   Warmed<System> warmup(double ber, std::uint64_t seed) const {
     return {scaffold(ber, seed), seed};
   }
@@ -368,8 +367,11 @@ struct CreationStudy {
     return core::make_creation_system(ber, kTimeout, seed);
   }
   Recipe recipe(double ber) const { return recipe_of(ber, kTimeout); }
-  Sample measure(System& sys, double ber, std::uint64_t seed) const {
-    return sample(ber, core::run_creation_from(sys, seed));
+  void reseed(System& sys, std::uint64_t seed) const {
+    reseed_construction(sys, seed);
+  }
+  Sample measure(System& sys, double ber) const {
+    return sample(ber, core::measure_creation(sys));
   }
   static Sample sample(double ber, const core::CreationSample& s) {
     Sample p;
@@ -461,11 +463,8 @@ SweepResult run_fig08(const ScenarioInfo& info, const ScenarioRequest& req) {
 struct MasterActivityStudy {
   using Point = double;  // channel duty cycle
   using Sample = ActivitySample;
-  core::MasterActivityConfig cfg;  // seed set per replication
+  core::MasterActivityConfig cfg;  // measure knobs; seed unused
 
-  Sample legacy(double duty, std::uint64_t seed) const {
-    return sample(core::run_master_activity(duty, seeded(cfg, seed)));
-  }
   core::ConnectedWarmup warmup(double, std::uint64_t seed) const {
     return core::master_activity_warmup(seed);
   }
@@ -473,8 +472,11 @@ struct MasterActivityStudy {
     return core::master_activity_scaffold(seed);
   }
   Recipe recipe(double) const { return {}; }
-  Sample measure(System& sys, double duty, std::uint64_t seed) const {
-    return sample(core::run_master_activity_from(sys, duty, seeded(cfg, seed)));
+  void reseed(System& sys, std::uint64_t seed) const {
+    sys.env().rng().reseed(seed);
+  }
+  Sample measure(System& sys, double duty) const {
+    return sample(core::measure_master_activity(sys, duty, cfg));
   }
   static Sample sample(const core::MasterActivityRow& row) {
     Sample s;
@@ -518,15 +520,11 @@ template <class Config>
 struct SlaveActivityStudy {
   using Point = std::optional<std::uint32_t>;  // Tsniff / Thold, slots
   using Sample = ScalarSample;
-  Config cfg;  // seed set per replication
-  core::SlaveActivityRow (*run_legacy)(Point, const Config&);
+  Config cfg;  // measure knobs; seed unused
   core::ConnectedWarmup (*run_warmup)(std::uint64_t);
   SystemPtr (*run_scaffold)(std::uint64_t);
-  core::SlaveActivityRow (*run_from)(System&, Point, const Config&);
+  core::SlaveActivityRow (*run_measure)(System&, Point, const Config&);
 
-  Sample legacy(const Point& mode, std::uint64_t seed) const {
-    return scalar(run_legacy(mode, seeded(cfg, seed)).slave.total());
-  }
   core::ConnectedWarmup warmup(const Point&, std::uint64_t seed) const {
     return run_warmup(seed);
   }
@@ -534,8 +532,11 @@ struct SlaveActivityStudy {
     return run_scaffold(seed);
   }
   Recipe recipe(const Point&) const { return {}; }
-  Sample measure(System& sys, const Point& mode, std::uint64_t seed) const {
-    return scalar(run_from(sys, mode, seeded(cfg, seed)).slave.total());
+  void reseed(System& sys, std::uint64_t seed) const {
+    sys.env().rng().reseed(seed);
+  }
+  Sample measure(System& sys, const Point& mode) const {
+    return scalar(run_measure(sys, mode, cfg).slave.total());
   }
 };
 
@@ -577,8 +578,8 @@ SweepResult run_fig11(const ScenarioInfo& info, const ScenarioRequest& req) {
       "poll traffic",
       SlaveActivityStudy<core::SniffActivityConfig>{
           {.measure_slots = req.quick ? 8000u : 30000u},
-          core::run_sniff_activity, core::sniff_activity_warmup,
-          core::sniff_activity_scaffold, core::run_sniff_activity_from});
+          core::sniff_activity_warmup, core::sniff_activity_scaffold,
+          core::measure_sniff_activity});
 }
 
 SweepResult run_fig12(const ScenarioInfo& info, const ScenarioRequest& req) {
@@ -592,8 +593,8 @@ SweepResult run_fig12(const ScenarioInfo& info, const ScenarioRequest& req) {
       "is ~2.5 slots of full listening per cycle",
       SlaveActivityStudy<core::HoldActivityConfig>{
           {.min_measure_slots = req.quick ? 8000u : 30000u},
-          core::run_hold_activity, core::hold_activity_warmup,
-          core::hold_activity_scaffold, core::run_hold_activity_from});
+          core::hold_activity_warmup, core::hold_activity_scaffold,
+          core::measure_hold_activity});
 }
 
 // ---- Extension: packet type x BER throughput matrix ----
@@ -610,12 +611,8 @@ struct ThroughputPoint {
 struct ThroughputStudy {
   using Point = ThroughputPoint;
   using Sample = ScalarSample;
-  core::ThroughputConfig cfg;  // seed set per replication
+  core::ThroughputConfig cfg;
 
-  Sample legacy(const Point& p, std::uint64_t seed) const {
-    return scalar(
-        core::run_throughput(p.type, p.ber, seeded(cfg, seed)).goodput_kbps);
-  }
   core::ConnectedWarmup warmup(const Point& p, std::uint64_t seed) const {
     return core::throughput_warmup(p.type, seed);
   }
@@ -625,10 +622,12 @@ struct ThroughputStudy {
   Recipe recipe(const Point& p) const {
     return recipe_of(static_cast<std::uint32_t>(p.type));
   }
-  Sample measure(System& sys, const Point& p, std::uint64_t seed) const {
+  void reseed(System& sys, std::uint64_t seed) const {
+    sys.env().rng().reseed(seed);
+  }
+  Sample measure(System& sys, const Point& p) const {
     return scalar(
-        core::run_throughput_from(sys, p.type, p.ber, seeded(cfg, seed))
-            .goodput_kbps);
+        core::measure_throughput(sys, p.type, p.ber, cfg).goodput_kbps);
   }
 };
 
@@ -686,11 +685,8 @@ SweepResult run_throughput_scenario(const ScenarioInfo& info,
 struct CoexistenceStudy {
   using Point = std::uint32_t;  // neighbour data period, slots (0 = silent)
   using Sample = CoexSample;
-  core::CoexistenceRunConfig cfg;  // seed set per replication
+  core::CoexistenceRunConfig cfg;
 
-  Sample legacy(std::uint32_t period, std::uint64_t seed) const {
-    return sample(core::run_coexistence(period, seeded(cfg, seed)));
-  }
   Warmed<core::TwoPiconets> warmup(std::uint32_t, std::uint64_t seed) const {
     return {core::coexistence_warmup(seed), seed};
   }
@@ -699,9 +695,11 @@ struct CoexistenceStudy {
     return core::coexistence_scaffold(seed);
   }
   Recipe recipe(std::uint32_t) const { return {}; }
-  Sample measure(core::TwoPiconets& net, std::uint32_t period,
-                 std::uint64_t seed) const {
-    return sample(core::run_coexistence_from(net, period, seeded(cfg, seed)));
+  void reseed(core::TwoPiconets& net, std::uint64_t seed) const {
+    net.env().rng().reseed(seed);
+  }
+  Sample measure(core::TwoPiconets& net, std::uint32_t period) const {
+    return sample(core::measure_coexistence(net, period, cfg));
   }
   static Sample sample(const core::CoexistenceRow& row) {
     Sample s;
@@ -742,9 +740,6 @@ struct BackoffStudy {
   using Point = std::uint32_t;  // backoff ceiling, slots
   using Sample = BackoffPoint;
 
-  Sample legacy(std::uint32_t backoff, std::uint64_t seed) const {
-    return sample(core::run_backoff_replication(backoff, seed));
-  }
   Warmed<System> warmup(std::uint32_t backoff, std::uint64_t seed) const {
     return {scaffold(backoff, seed), seed};
   }
@@ -752,8 +747,11 @@ struct BackoffStudy {
     return core::make_backoff_system(backoff, seed);
   }
   Recipe recipe(std::uint32_t backoff) const { return recipe_of(backoff); }
-  Sample measure(System& sys, std::uint32_t, std::uint64_t seed) const {
-    return sample(core::run_backoff_from(sys, seed));
+  void reseed(System& sys, std::uint64_t seed) const {
+    reseed_construction(sys, seed);
+  }
+  Sample measure(System& sys, std::uint32_t) const {
+    return sample(core::measure_backoff(sys));
   }
   static Sample sample(const core::BackoffSample& r) {
     BackoffPoint p;

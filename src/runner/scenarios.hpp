@@ -2,8 +2,8 @@
 // extension studies) as a named, parameterised sweep over SweepRunner.
 //
 // A scenario maps a paper figure to (points, replication body, output
-// columns). The registry is what the unified `btsc-sweep` CLI and the
-// per-figure bench wrappers run; docs/SCENARIOS.md documents each entry.
+// columns). The registry is what the `btsc-sweep` CLI and the
+// `btsc-sweepd` service run; docs/SCENARIOS.md documents each entry.
 #pragma once
 
 #include <atomic>
@@ -22,13 +22,16 @@ class Reporter;
 
 namespace btsc::runner {
 
-/// How each replication reaches its measurement boundary. Only the
-/// staged body builder in scenarios.cpp acts on it, composing a study's
-/// stages for the mode; scenarios never branch on it.
+/// How each replication reaches its measurement boundary. Every mode
+/// runs a study's warm-up stage, then its measure stage; only the
+/// staged body builder in scenarios.cpp reads the mode, and scenarios
+/// never branch on it.
 ///
-///  * kLegacy — the historical single-stage replication: construction
-///    and measurement draw from one stream seeded by the replication
-///    seed. Default; byte-identical to every pre-checkpoint artifact.
+///  * kLegacy — the warm-up runs on the replication seed and the
+///    boundary is not reseeded, so construction and measurement draw
+///    from one stream. Each replication's warm-up is its own, so a
+///    legacy run cannot fork. Default; byte-identical to every
+///    pre-checkpoint artifact.
 ///  * kCold — the staged split: a warm-up driven by a dedicated
 ///    per-point warm-up seed is re-run for every replication, which then
 ///    reseeds and measures on that same system. No snapshot: the
@@ -62,9 +65,11 @@ struct ScenarioRequest {
   /// Keep only the first N parameter points (reduced sweeps for tests
   /// and CI); 0 = all points.
   int max_points = 0;
-  /// Replication staging (see WarmupMode). kLegacy keeps the historical
-  /// sample streams; kCold/kFork share a per-point warm-up seed and are
-  /// bitwise equivalent to each other, not to kLegacy.
+  /// Replication staging (see WarmupMode). kLegacy warms up on the
+  /// replication seed with no reseed at the boundary, keeping the
+  /// historical sample streams (and so cannot fork); kCold/kFork share a
+  /// per-point warm-up seed and are bitwise equivalent to each other,
+  /// not to kLegacy.
   WarmupMode warmup = WarmupMode::kLegacy;
   /// Append-only results journal (--journal): every completed
   /// replication is fsync'd to this file; empty = no journal. The
@@ -128,8 +133,10 @@ struct SweepResult {
   /// from a complete run.
   int max_points = 0;
   /// Whether the replications were staged (kCold or kFork): staged runs
-  /// draw from different sample streams than legacy ones, so this is
-  /// result-defining and recorded in metadata. Cold vs fork is NOT
+  /// warm up on a per-point seed and reseed at the boundary, while
+  /// legacy runs warm up on the replication seed with no reseed (and so
+  /// cannot fork). The sample streams differ, so this is result-defining
+  /// and recorded in metadata. Cold vs fork is NOT
   /// recorded -- the two are bitwise equivalent by contract, so their
   /// artifacts must stay byte-identical (like the thread count).
   bool staged_warmup = false;
@@ -219,8 +226,8 @@ void write_result(const SweepResult& result, core::Reporter& reporter);
 /// sweep service) to retry or exclude the quarantined replications.
 std::string quarantine_report(const SweepResult& result);
 
-/// Complete main() body for a figure bench: parses the shared BenchArgs
-/// flags (--seeds/--replications, --quick, --threads, --csv/--json,
+/// Complete main() body of the `btsc-sweep` CLI: parses the shared
+/// BenchArgs flags (--seeds/--replications, --quick, --threads, --csv/--json,
 /// --out, --base-seed, --max-points, --checkpoint-warmup, --cold-warmup),
 /// runs `id`, and writes the result to stdout or the requested file.
 /// Returns the process exit code.

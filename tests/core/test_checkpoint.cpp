@@ -313,15 +313,23 @@ TEST(CheckpointFork, CreationForkEqualsCold) {
   EXPECT_EQ(sf.page_slots, sc.page_slots);
 }
 
+/// The backoff family's boundary: reseed the environment stream and the
+/// slave clock phases construction drew, then run one inquiry.
+BackoffSample backoff_from(BluetoothSystem& sys, std::uint64_t rep_seed) {
+  sys.env().rng().reseed(rep_seed);
+  sys.randomize_slave_clocks();
+  return measure_backoff(sys);
+}
+
 TEST(CheckpointFork, BackoffForkEqualsCold) {
   auto cold = make_backoff_system(255, 9001);
-  const BackoffSample sc = run_backoff_from(*cold, 4321);
+  const BackoffSample sc = backoff_from(*cold, 4321);
 
   auto warm = make_backoff_system(255, 9001);
   const auto img = warm->save_snapshot();
   auto forked = make_backoff_system(255, 9001);
   forked->restore_snapshot(img);
-  const BackoffSample sf = run_backoff_from(*forked, 4321);
+  const BackoffSample sf = backoff_from(*forked, 4321);
 
   EXPECT_EQ(sf.success, sc.success);
   EXPECT_EQ(sf.slots, sc.slots);
@@ -382,20 +390,22 @@ TEST(CheckpointFork, HoldActivityForkEqualsCold) {
 }
 
 TEST(CheckpointFork, ThroughputForkEqualsCold) {
+  const std::uint64_t rep_seed = 888;
   ThroughputConfig cfg;
-  cfg.seed = 888;
   cfg.measure_slots = 2000;
   const auto type = baseband::PacketType::kDm3;
   const double ber = 1.0 / 1000;
 
   auto cold = throughput_warmup(type, 3131);
-  const ThroughputRow rc = run_throughput_from(*cold.system, type, ber, cfg);
+  cold.system->env().rng().reseed(rep_seed);
+  const ThroughputRow rc = measure_throughput(*cold.system, type, ber, cfg);
 
   auto warm = throughput_warmup(type, 3131);
   const auto img = warm.system->save_snapshot();
   auto forked = throughput_scaffold(type, warm.construction_seed);
   forked->restore_snapshot(img);
-  const ThroughputRow rf = run_throughput_from(*forked, type, ber, cfg);
+  forked->env().rng().reseed(rep_seed);
+  const ThroughputRow rf = measure_throughput(*forked, type, ber, cfg);
 
   EXPECT_EQ(bits(rf.goodput_kbps), bits(rc.goodput_kbps));
   EXPECT_EQ(rf.delivered_messages, rc.delivered_messages);
@@ -403,18 +413,20 @@ TEST(CheckpointFork, ThroughputForkEqualsCold) {
 }
 
 TEST(CheckpointFork, CoexistenceForkEqualsCold) {
+  const std::uint64_t rep_seed = 999;
   CoexistenceRunConfig cfg;
-  cfg.seed = 999;
   cfg.measure_slots = 4000;
 
   auto cold = coexistence_warmup(2030);
-  const CoexistenceRow rc = run_coexistence_from(*cold, 8, cfg);
+  cold->env().rng().reseed(rep_seed);
+  const CoexistenceRow rc = measure_coexistence(*cold, 8, cfg);
 
   auto warm = coexistence_warmup(2030);
   const auto img = warm->save_snapshot();
   auto forked = coexistence_scaffold(2030);
   forked->restore_snapshot(img);
-  const CoexistenceRow rf = run_coexistence_from(*forked, 8, cfg);
+  forked->env().rng().reseed(rep_seed);
+  const CoexistenceRow rf = measure_coexistence(*forked, 8, cfg);
 
   EXPECT_EQ(bits(rf.goodput_kbps), bits(rc.goodput_kbps));
   EXPECT_EQ(rf.retransmissions, rc.retransmissions);

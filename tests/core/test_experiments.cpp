@@ -4,13 +4,54 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
+#include "core/system.hpp"
+
 namespace btsc::core {
 namespace {
 
+/// `seeds` independent 2-device creations at `ber` under the paper's
+/// 2048-slot timeouts; replication s warms up on seed 1000 + s and
+/// measures on, unreseeded.
+CreationPoint creation_point(double ber, int seeds) {
+  CreationPoint point;
+  point.ber = ber;
+  for (int s = 0; s < seeds; ++s) {
+    const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(s);
+    point.add(measure_creation(*make_creation_system(ber, 2048, seed)));
+  }
+  return point;
+}
+
+MasterActivityRow master_activity(double duty,
+                                  const MasterActivityConfig& cfg) {
+  return measure_master_activity(*master_activity_warmup(cfg.seed).system,
+                                 duty, cfg);
+}
+
+SlaveActivityRow sniff_activity(std::optional<std::uint32_t> tsniff,
+                                const SniffActivityConfig& cfg) {
+  return measure_sniff_activity(*sniff_activity_warmup(cfg.seed).system,
+                                tsniff, cfg);
+}
+
+SlaveActivityRow hold_activity(std::optional<std::uint32_t> thold,
+                               const HoldActivityConfig& cfg) {
+  return measure_hold_activity(*hold_activity_warmup(cfg.seed).system, thold,
+                               cfg);
+}
+
+/// Warms up on seed 1, the seed of every throughput case below.
+ThroughputRow throughput(baseband::PacketType type, double ber,
+                         const ThroughputConfig& cfg) {
+  return measure_throughput(*throughput_warmup(type, 1).system, type, ber,
+                            cfg);
+}
+
 TEST(CreationExperiment, NoiselessInquiryMeanInPaperBand) {
-  CreationConfig cfg;
-  cfg.seeds = 12;
-  const CreationPoint p = run_creation_point(0.0, cfg);
+  const CreationPoint p = creation_point(0.0, 12);
   ASSERT_GE(p.inquiry_slots.count(), 4u);
   // Paper: ~1556 slots mean; accept the band 800..2048.
   EXPECT_GT(p.inquiry_slots.mean(), 800.0);
@@ -18,18 +59,14 @@ TEST(CreationExperiment, NoiselessInquiryMeanInPaperBand) {
 }
 
 TEST(CreationExperiment, NoiselessPageFastAndReliable) {
-  CreationConfig cfg;
-  cfg.seeds = 12;
-  const CreationPoint p = run_creation_point(0.0, cfg);
+  const CreationPoint p = creation_point(0.0, 12);
   // Paper: 17 slots; page succeeds whenever inquiry did.
   EXPECT_EQ(p.page_ok.successes(), p.page_ok.trials());
   EXPECT_LT(p.page_slots.mean(), 60.0);
 }
 
 TEST(CreationExperiment, PageIsTheBottleneckUnderNoise) {
-  CreationConfig cfg;
-  cfg.seeds = 12;
-  const CreationPoint hi = run_creation_point(1.0 / 30.0, cfg);
+  const CreationPoint hi = creation_point(1.0 / 30.0, 12);
   // At BER 1/30 the paper finds page essentially impossible.
   EXPECT_LT(hi.page_ok.ratio(), 0.5);
   // Creation overall (inquiry AND page) is very unlikely.
@@ -39,18 +76,16 @@ TEST(CreationExperiment, PageIsTheBottleneckUnderNoise) {
 }
 
 TEST(CreationExperiment, FailureGrowsWithBer) {
-  CreationConfig cfg;
-  cfg.seeds = 12;
-  const CreationPoint lo = run_creation_point(1.0 / 100.0, cfg);
-  const CreationPoint hi = run_creation_point(1.0 / 30.0, cfg);
+  const CreationPoint lo = creation_point(1.0 / 100.0, 12);
+  const CreationPoint hi = creation_point(1.0 / 30.0, 12);
   EXPECT_GE(lo.inquiry_ok.ratio(), hi.inquiry_ok.ratio());
 }
 
 TEST(MasterActivityExperiment, LinearInDutyAndTxAboveRx) {
   MasterActivityConfig cfg;
   cfg.measure_slots = 6000;
-  const auto low = run_master_activity(0.005, cfg);
-  const auto high = run_master_activity(0.02, cfg);
+  const auto low = master_activity(0.005, cfg);
+  const auto high = master_activity(0.02, cfg);
   // Monotone increasing, roughly linear (4x duty -> ~4x activity).
   EXPECT_GT(high.master.tx_fraction, 2.5 * low.master.tx_fraction);
   EXPECT_LT(high.master.tx_fraction, 6.0 * low.master.tx_fraction);
@@ -62,14 +97,14 @@ TEST(MasterActivityExperiment, LinearInDutyAndTxAboveRx) {
 TEST(MasterActivityExperiment, ZeroDutyNearZeroActivity) {
   MasterActivityConfig cfg;
   cfg.measure_slots = 6000;
-  const auto idle = run_master_activity(0.0, cfg);
+  const auto idle = master_activity(0.0, cfg);
   EXPECT_LT(idle.master.total(), 0.005);
 }
 
 TEST(SniffExperiment, ActiveBaselineNearPaperValue) {
   SniffActivityConfig cfg;
   cfg.measure_slots = 6000;
-  const auto active = run_sniff_activity(std::nullopt, cfg);
+  const auto active = sniff_activity(std::nullopt, cfg);
   // Paper Fig. 11: ~4.2% for the active slave with data every 100 slots.
   EXPECT_GT(active.slave.total(), 0.025);
   EXPECT_LT(active.slave.total(), 0.07);
@@ -78,9 +113,9 @@ TEST(SniffExperiment, ActiveBaselineNearPaperValue) {
 TEST(SniffExperiment, LongSniffBeatsActiveShortDoesNot) {
   SniffActivityConfig cfg;
   cfg.measure_slots = 6000;
-  const auto active = run_sniff_activity(std::nullopt, cfg);
-  const auto sniff100 = run_sniff_activity(100, cfg);
-  const auto sniff10 = run_sniff_activity(10, cfg);
+  const auto active = sniff_activity(std::nullopt, cfg);
+  const auto sniff100 = sniff_activity(100, cfg);
+  const auto sniff10 = sniff_activity(10, cfg);
   // Paper: ~30% saving at Tsniff=100; no saving below Tsniff~30.
   EXPECT_LT(sniff100.slave.total(), 0.8 * active.slave.total());
   EXPECT_GT(sniff10.slave.total(), 0.8 * active.slave.total());
@@ -89,9 +124,9 @@ TEST(SniffExperiment, LongSniffBeatsActiveShortDoesNot) {
 TEST(SniffExperiment, ActivityDecreasesWithTsniff) {
   SniffActivityConfig cfg;
   cfg.measure_slots = 6000;
-  const auto s20 = run_sniff_activity(20, cfg);
-  const auto s50 = run_sniff_activity(50, cfg);
-  const auto s100 = run_sniff_activity(100, cfg);
+  const auto s20 = sniff_activity(20, cfg);
+  const auto s50 = sniff_activity(50, cfg);
+  const auto s100 = sniff_activity(100, cfg);
   EXPECT_GT(s20.slave.total(), s50.slave.total());
   EXPECT_GT(s50.slave.total(), s100.slave.total());
 }
@@ -99,16 +134,16 @@ TEST(SniffExperiment, ActivityDecreasesWithTsniff) {
 TEST(HoldExperiment, ActiveBaselineIsPaper2_6Percent) {
   HoldActivityConfig cfg;
   cfg.min_measure_slots = 6000;
-  const auto active = run_hold_activity(std::nullopt, cfg);
+  const auto active = hold_activity(std::nullopt, cfg);
   EXPECT_NEAR(active.slave.total(), 0.026, 0.006);
 }
 
 TEST(HoldExperiment, CrossoverNearPaper120Slots) {
   HoldActivityConfig cfg;
   cfg.min_measure_slots = 6000;
-  const auto active = run_hold_activity(std::nullopt, cfg);
-  const auto short_hold = run_hold_activity(60, cfg);
-  const auto long_hold = run_hold_activity(400, cfg);
+  const auto active = hold_activity(std::nullopt, cfg);
+  const auto short_hold = hold_activity(60, cfg);
+  const auto long_hold = hold_activity(400, cfg);
   // Short holds cost more than staying active; long holds pay off.
   EXPECT_GT(short_hold.slave.total(), active.slave.total());
   EXPECT_LT(long_hold.slave.total(), active.slave.total());
@@ -117,9 +152,9 @@ TEST(HoldExperiment, CrossoverNearPaper120Slots) {
 TEST(HoldExperiment, ActivityDecreasesWithThold) {
   HoldActivityConfig cfg;
   cfg.min_measure_slots = 6000;
-  const auto h100 = run_hold_activity(100, cfg);
-  const auto h400 = run_hold_activity(400, cfg);
-  const auto h1000 = run_hold_activity(1000, cfg);
+  const auto h100 = hold_activity(100, cfg);
+  const auto h400 = hold_activity(400, cfg);
+  const auto h1000 = hold_activity(1000, cfg);
   EXPECT_GT(h100.slave.total(), h400.slave.total());
   EXPECT_GT(h400.slave.total(), h1000.slave.total());
 }
@@ -127,8 +162,8 @@ TEST(HoldExperiment, ActivityDecreasesWithThold) {
 TEST(ThroughputExperiment, Dh5BestOnCleanChannel) {
   ThroughputConfig cfg;
   cfg.measure_slots = 4000;
-  const auto dh5 = run_throughput(baseband::PacketType::kDh5, 0.0, cfg);
-  const auto dm1 = run_throughput(baseband::PacketType::kDm1, 0.0, cfg);
+  const auto dh5 = throughput(baseband::PacketType::kDh5, 0.0, cfg);
+  const auto dm1 = throughput(baseband::PacketType::kDm1, 0.0, cfg);
   EXPECT_GT(dh5.goodput_kbps, 300.0);  // paper-era DH5 peak ~477 kb/s
   EXPECT_GT(dh5.goodput_kbps, 3.0 * dm1.goodput_kbps);
 }
@@ -137,8 +172,8 @@ TEST(ThroughputExperiment, DmBeatsDhUnderHeavyNoise) {
   ThroughputConfig cfg;
   cfg.measure_slots = 4000;
   const double ber = 1.0 / 150.0;
-  const auto dm1 = run_throughput(baseband::PacketType::kDm1, ber, cfg);
-  const auto dh5 = run_throughput(baseband::PacketType::kDh5, ber, cfg);
+  const auto dm1 = throughput(baseband::PacketType::kDm1, ber, cfg);
+  const auto dh5 = throughput(baseband::PacketType::kDh5, ber, cfg);
   // FEC-protected short packets win once the channel is noisy: the
   // crossover the paper's model was built to expose.
   EXPECT_GT(dm1.goodput_kbps, dh5.goodput_kbps);
@@ -147,8 +182,8 @@ TEST(ThroughputExperiment, DmBeatsDhUnderHeavyNoise) {
 TEST(ThroughputExperiment, RetransmissionsGrowWithBer) {
   ThroughputConfig cfg;
   cfg.measure_slots = 3000;
-  const auto clean = run_throughput(baseband::PacketType::kDh1, 0.0, cfg);
-  const auto noisy = run_throughput(baseband::PacketType::kDh1, 1.0 / 100.0, cfg);
+  const auto clean = throughput(baseband::PacketType::kDh1, 0.0, cfg);
+  const auto noisy = throughput(baseband::PacketType::kDh1, 1.0 / 100.0, cfg);
   EXPECT_GT(noisy.retransmissions, clean.retransmissions);
   EXPECT_LT(noisy.goodput_kbps, clean.goodput_kbps);
 }

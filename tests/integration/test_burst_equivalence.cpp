@@ -112,11 +112,11 @@ TEST(BurstEquivalenceTest, CreationReplicationsIdenticalAcrossTransports) {
       CreationSample on, off;
       {
         BurstDefaultGuard g(true);
-        on = run_creation_replication(ber, seed, 2048);
+        on = measure_creation(*make_creation_system(ber, 2048, seed));
       }
       {
         BurstDefaultGuard g(false);
-        off = run_creation_replication(ber, seed, 2048);
+        off = measure_creation(*make_creation_system(ber, 2048, seed));
       }
       EXPECT_EQ(on.inquiry_success, off.inquiry_success)
           << "ber=" << ber << " seed=" << seed;
@@ -131,17 +131,21 @@ TEST(BurstEquivalenceTest, CreationReplicationsIdenticalAcrossTransports) {
 }
 
 TEST(BurstEquivalenceTest, ThroughputRowIdenticalAcrossTransports) {
+  const std::uint64_t seed = 77;
   ThroughputConfig cfg;
-  cfg.seed = 77;
   cfg.measure_slots = 2000;
   ThroughputRow on, off;
   {
     BurstDefaultGuard g(true);
-    on = run_throughput(baseband::PacketType::kDm1, 1.0 / 300, cfg);
+    on = measure_throughput(
+        *throughput_warmup(baseband::PacketType::kDm1, seed).system,
+        baseband::PacketType::kDm1, 1.0 / 300, cfg);
   }
   {
     BurstDefaultGuard g(false);
-    off = run_throughput(baseband::PacketType::kDm1, 1.0 / 300, cfg);
+    off = measure_throughput(
+        *throughput_warmup(baseband::PacketType::kDm1, seed).system,
+        baseband::PacketType::kDm1, 1.0 / 300, cfg);
   }
   EXPECT_EQ(on.goodput_kbps, off.goodput_kbps);
   EXPECT_EQ(on.delivered_messages, off.delivered_messages);

@@ -3,7 +3,8 @@
 // bitwise identical to the cold staged sweep (warm-up re-run per
 // replication), row for row and byte for byte in the JSON artifact --
 // and must stay thread-count invariant like every other sweep. The
-// legacy single-stage mode must remain the default.
+// legacy mode (warm-up on the replication seed, no reseed) must remain
+// the default.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,7 +13,10 @@
 #include <vector>
 
 #include "artifact_json.hpp"
+#include "core/coexistence.hpp"
+#include "core/experiments.hpp"
 #include "runner/scenarios.hpp"
+#include "sim/rng.hpp"
 
 namespace btsc::runner {
 namespace {
@@ -49,6 +53,37 @@ TEST(CheckpointSweep, LegacyModeIsTheDefault) {
   quick.replications = 1;
   quick.max_points = 1;
   EXPECT_FALSE(run_scenario("fig08", quick).staged_warmup);
+}
+
+TEST(CheckpointSweep, LegacyWarmsUpOnReplicationSeedWithoutReseed) {
+  // A legacy replication is the study's warm-up on the replication seed
+  // followed by its measure stage, with no reseed at the boundary.
+  // Coexistence's measured window draws from the environment RNG
+  // (collided samples), so a reseed changes its rows; with one
+  // replication it shows at the heaviest neighbour load (period 2, the
+  // last point). The study golden pin alone does not see the reseed.
+  ScenarioRequest req = staged_request(WarmupMode::kLegacy);
+  req.replications = 1;
+  req.max_points = 0;
+  const SweepResult legacy = run_scenario("coexistence", req);
+  ASSERT_EQ(legacy.rows.size(), 6u);
+  // Common random numbers: every point runs on stream 0.
+  const std::uint64_t seed =
+      sim::Rng::derive_stream_seed(legacy.base_seed, 0, 0);
+  core::CoexistenceRunConfig cfg;
+  cfg.measure_slots = 8000;  // the study's --quick window
+  for (const auto& row : legacy.rows) {
+    const auto period = static_cast<std::uint32_t>(row[0]);
+    const core::CoexistenceRow expect = core::measure_coexistence(
+        *core::coexistence_warmup(seed), period, cfg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(row[1]),
+              std::bit_cast<std::uint64_t>(expect.goodput_kbps))
+        << "period " << period;
+    EXPECT_EQ(row[2], static_cast<double>(expect.retransmissions))
+        << "period " << period;
+    EXPECT_EQ(row[3], static_cast<double>(expect.collision_samples))
+        << "period " << period;
+  }
 }
 
 TEST(CheckpointSweep, Fig08ForkMatchesColdByteForByte) {
