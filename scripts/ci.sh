@@ -171,7 +171,7 @@ cmake --build build-asan -j "$jobs" --target \
       core_test_checkpoint runner_test_checkpoint_sweep \
       sim_test_checkpoint_store runner_test_journal runner_test_supervision \
       io_test_fault_plan runner_test_warmup_store service_test_sweepd \
-      runner_test_study_golden
+      runner_test_study_golden baseband_test_bt_clock core_test_tick_elision
 # sim_test_scheduler/sim_test_timer_queue/sim_test_tracer exercise the
 # timed queue's dispatch and cancellation paths (heap removal,
 # schedule/cancel churn, slot reuse, mid-instant removal, the pinned
@@ -218,6 +218,10 @@ cmake --build build-asan -j "$jobs" --target \
 # runner_test_study_golden is the one test that drives every study's
 # legacy replication (warm-up on the replication seed, then the measure
 # stage with no reseed) as well as its cold one, end to end.
+# baseband_test_bt_clock / core_test_tick_elision cover the demand-driven
+# native clock: sleep, wake and reset cancel and re-arm its one delivery
+# timer, and checkpoints restore sleeping clocks -- timer-cancel and
+# lifetime code the sanitizers should watch.
 for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
          baseband_test_framing_word phy_test_burst_transport \
@@ -229,7 +233,8 @@ for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          sim_test_checkpoint_store runner_test_journal \
          runner_test_supervision \
          io_test_fault_plan runner_test_warmup_store service_test_sweepd \
-         runner_test_study_golden; do
+         runner_test_study_golden baseband_test_bt_clock \
+         core_test_tick_elision; do
   "./build-asan/tests/$t"
 done
 

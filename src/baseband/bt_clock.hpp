@@ -6,6 +6,13 @@
 // roughly once a day. Every device owns an independent CLKN with its own
 // start value; the piconet clock CLK of a slave is CLKN plus an offset
 // learned during paging.
+//
+// The counter is demand-driven: clkn() is computed from the value the
+// last delivered tick set, the next grid instant and now(), and
+// tick_event() fires only at the grid instants the subscriber (a
+// TickDemand) asks for. At most one delivery timer is pending; a
+// sleeping clock has none. See docs/ARCHITECTURE.md "Demand-driven
+// clock".
 #pragma once
 
 #include <cstdint>
@@ -15,6 +22,7 @@
 #include "sim/module.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
+#include "sim/timer_queue.hpp"
 
 namespace btsc::baseband {
 
@@ -24,34 +32,59 @@ inline constexpr sim::SimTime kTickPeriod = sim::SimTime::ns(312'500);
 /// One time slot: 625 us.
 inline constexpr sim::SimTime kSlotDuration = sim::SimTime::us(625);
 
+/// The clock's subscriber: decides which ticks are worth delivering.
+class TickDemand {
+ public:
+  /// Asked while the tick that set CLKN to `clkn` is delivered (before
+  /// the subscriber's tick process runs): how many ticks ahead the next
+  /// tick it needs is (1 = the very next one), or 0 to sleep until
+  /// NativeClock::wake(). Answering 1 is always safe; a larger answer
+  /// promises that the ticks in between would do nothing.
+  virtual std::uint32_t ticks_until_needed(std::uint32_t clkn) const = 0;
+
+ protected:
+  ~TickDemand() = default;
+};
+
 class NativeClock final : public sim::Module,
                           public sim::Snapshotable,
                           public sim::RearmHandler {
  public:
-  /// The counter starts at `initial`; the first increment fires after
-  /// `first_tick_delay` (use a random phase to model unsynchronised
-  /// devices; must be < kTickPeriod for a sensible phase).
+  /// The counter starts at `initial`; the first increment happens
+  /// `first_tick_delay` from now (use a random phase to model
+  /// unsynchronised devices), and that first tick is delivered.
   NativeClock(sim::Environment& env, std::string name,
               std::uint32_t initial = 0,
               sim::SimTime first_tick_delay = kTickPeriod);
   ~NativeClock() override;
 
-  /// Current native clock value (updated just before tick_event fires).
-  std::uint32_t clkn() const { return clkn_; }
+  /// Current native clock value: counts every grid instant up to and
+  /// including now(), delivered or not.
+  std::uint32_t clkn() const;
 
   /// Value of CLKN bit `i`.
-  bool bit(int i) const { return (clkn_ >> i) & 1u; }
+  bool bit(int i) const { return (clkn() >> i) & 1u; }
 
-  /// Notified on every tick, after clkn() has been incremented.
+  /// Notified (delta) on every delivered tick, after clkn() has counted
+  /// it. Elided ticks notify nothing.
   sim::Event& tick_event() { return tick_; }
 
-  /// Simulation time of the most recent tick (start of current half slot).
-  sim::SimTime last_tick_time() const { return last_tick_; }
+  /// Installs the subscriber that decides which ticks are delivered
+  /// (nullptr: every tick). Not owned; must outlive its installation.
+  void set_demand(const TickDemand* demand) { demand_ = demand; }
 
+  /// Re-arms delivery at the first grid instant whose tick has not yet
+  /// run: now() itself when it is on the grid and the kernel is still
+  /// dispatching that instant (its tick then runs in its own delta),
+  /// otherwise the next one. A later pending delivery is pulled back; an
+  /// earlier or equal one is kept.
+  void wake();
+
+  /// Ticks delivered so far (elided ticks are not counted).
   std::uint64_t ticks() const { return tick_count_; }
 
   /// Re-randomisation hook for forked replications: drops the pending
-  /// tick, restarts the counter at `initial` and the phase at
+  /// delivery, restarts the counter at `initial` and the phase at
   /// `first_tick_delay` from the current time -- the same state a fresh
   /// construction with these arguments would have.
   void reset_phase(std::uint32_t initial, sim::SimTime first_tick_delay);
@@ -68,12 +101,18 @@ class NativeClock final : public sim::Module,
   /// Timer descriptor kinds (see schedule_tagged).
   enum Kind : std::uint16_t { kTick = 1 };
 
-  void schedule_tick(sim::SimTime delay);
+  void arm(sim::SimTime at);
   void tick();
 
+  /// CLKN as set by the tick at next_ - kTickPeriod.
   std::uint32_t clkn_;
+  /// First grid instant whose tick has not been delivered.
+  sim::SimTime next_;
+  /// The one pending delivery (kInvalidTimer while asleep) and its instant.
+  sim::TimerId timer_ = sim::kInvalidTimer;
+  sim::SimTime armed_at_ = sim::SimTime::zero();
+  const TickDemand* demand_ = nullptr;
   sim::Event tick_;
-  sim::SimTime last_tick_ = sim::SimTime::zero();
   std::uint64_t tick_count_ = 0;
 };
 

@@ -9,6 +9,9 @@ namespace {
 using sim::SimTime;
 
 constexpr SimTime kHalfSlot = kTickPeriod;                    // 312.5 us
+/// The scan hop depends on CLK16:12 only, so it can change only at a
+/// CLK12 boundary (CLK wrapping to 0 is one too).
+constexpr std::uint32_t kClk12 = 1u << 12;
 constexpr SimTime kIdAirTime = SimTime::us(kIdPacketBits);    // 68 us
 /// Extra margin added to handshake listen windows to absorb the sub-bit
 /// packet_start reconstruction fuzz (see receiver.cpp).
@@ -76,6 +79,7 @@ LinkController::LinkController(sim::Environment& env, std::string name,
       master_addr_(addr) {
   sim::Process& tick = method("tick", [this] { on_tick(); });
   clock_.tick_event().add_sensitive(tick);
+  clock_.set_demand(this);
   receiver_.set_handler([this](const Receiver::Result& r) {
     switch (state_) {
       case LcState::kInquiry:
@@ -84,6 +88,7 @@ LinkController::LinkController(sim::Environment& env, std::string name,
       case LcState::kInquiryScan:
       case LcState::kInquiryResponse:
         inquiry_scan_on_result(r);
+        clock_.wake();  // e.g. the second ID ends the sleeping listen
         break;
       case LcState::kPage:
       case LcState::kMasterResponse:
@@ -117,7 +122,10 @@ LinkController::LinkController(sim::Environment& env, std::string name,
   env.register_rearm(this->name(), this, this);
 }
 
-LinkController::~LinkController() { env().unregister_rearm(this); }
+LinkController::~LinkController() {
+  clock_.set_demand(nullptr);
+  env().unregister_rearm(this);
+}
 
 // ---------------------------------------------------------------------------
 // Commands
@@ -136,7 +144,6 @@ void LinkController::enable_detach_reset() {
   my_last_seqn_in_.reset();
   my_seqn_out_ = my_arqn_out_ = false;
   pending_first_poll_lt_.reset();
-  awaiting_response_lt_.reset();
   backoff_armed_ = in_backoff_ = false;
   resyncing_ = false;
   enter_state(LcState::kStandby);
@@ -145,6 +152,7 @@ void LinkController::enable_detach_reset() {
 void LinkController::enable_inquiry() {
   cancel_timers();
   discovered_.clear();
+  phase_ticks_ = 0;
   enter_state(LcState::kInquiry);
   arm_receiver(kGiacLap, kDefaultCheckInit, std::nullopt,
                Receiver::Expect::kFull);
@@ -165,6 +173,7 @@ void LinkController::enable_page(const BdAddr& target,
   page_target_ = target;
   page_clkn_offset_ = clkn_offset_estimate & kClockMask;
   response_retries_ = 0;
+  phase_ticks_ = 0;
   enter_state(LcState::kPage);
   arm_receiver(target.lap(), target.uap(), std::nullopt,
                Receiver::Expect::kIdOnly);
@@ -184,7 +193,7 @@ void LinkController::enable_page_scan() {
 
 void LinkController::enter_state(LcState s) {
   state_ = s;
-  ticks_in_state_ = 0;
+  clock_.wake();  // the new state may need a tick the old one skipped
 }
 
 void LinkController::cancel_timers() {
@@ -215,6 +224,7 @@ sim::UniqueFunction LinkController::make_action(Kind kind,
     case kBackoffEnd:
       return [this] {
         in_backoff_ = false;  // next tick resumes the scan
+        clock_.wake();
       };
     case kSendInquiryFhs:
       return [this, payload] {
@@ -372,7 +382,7 @@ std::uint32_t LinkController::piconet_clock() const {
 // ---------------------------------------------------------------------------
 
 void LinkController::on_tick() {
-  ++ticks_in_state_;
+  ++phase_ticks_;
   switch (state_) {
     case LcState::kInquiry:
       inquiry_tick();
@@ -409,7 +419,7 @@ void LinkController::on_tick() {
 // ---------------------------------------------------------------------------
 
 void LinkController::inquiry_tick() {
-  if (slots_in_state() >= config_.inquiry_timeout_slots) {
+  if (slots_in_phase() >= config_.inquiry_timeout_slots) {
     const bool ok = discovered_.size() >= config_.inquiry_target_responses;
     radio_.disable_rx();
     enter_state(LcState::kStandby);
@@ -419,8 +429,8 @@ void LinkController::inquiry_tick() {
   const std::uint32_t clkn = clock_.clkn();
   // Train A first; switch every train_repeats passes (32 ticks per pass).
   const int koffset =
-      (ticks_in_state_ / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
-                                                                : kTrainB;
+      (phase_ticks_ / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
+                                                             : kTrainB;
   const int half = static_cast<int>(clkn & 1u);
   if (((clkn >> 1) & 1u) == 0) {
     // TX half slot: send an ID on the inquiry train (skip if the previous
@@ -481,46 +491,86 @@ void LinkController::inquiry_on_result(const Receiver::Result& r) {
 
 void LinkController::inquiry_scan_tick() {
   if (in_backoff_ || radio_.tx_busy()) return;
-  const std::uint32_t clkn = clock_.clkn();
+  follow_scan(inquiry_scan_plan(clock_.clkn()).freq);
+}
+
+LinkController::ScanPlan LinkController::inquiry_scan_plan(
+    std::uint32_t clk) const {
+  if (backoff_armed_ && inquiry_first_hit_freq_ >= 0) {
+    // Waiting for the second ID after the backoff: the inquirer is still
+    // sweeping the same train, so listen where the first ID was heard
+    // until the result (or a new command) changes the state.
+    return {inquiry_first_hit_freq_, 0};
+  }
   // Windowed scan per the spec (continuous when the window is 0, or when
   // re-listening for the second ID after the backoff). With interlaced
   // scanning a second window on the complementary train frequency
   // follows the first.
+  std::uint32_t ticks = kClk12 - (clk & (kClk12 - 1));
   int x_offset = 0;
   if (config_.inquiry_scan_window_slots > 0 && !backoff_armed_) {
     const std::uint32_t interval_ticks =
         2 * config_.inquiry_scan_interval_slots;
     const std::uint32_t window_ticks = 2 * config_.inquiry_scan_window_slots;
-    const std::uint32_t pos = clkn % interval_ticks;
+    const std::uint32_t pos = clk % interval_ticks;
+    ticks = std::min(ticks, interval_ticks - pos);
     if (pos < window_ticks) {
-      x_offset = 0;
+      ticks = std::min(ticks, window_ticks - pos);
     } else if (config_.interlaced_inquiry_scan && pos < 2 * window_ticks) {
       x_offset = 16;
+      ticks = std::min(ticks, 2 * window_ticks - pos);
     } else {
-      if (!receiver_.assembling()) radio_.disable_rx();
-      return;
+      return {-1, ticks};
     }
   }
-  int f;
-  if (backoff_armed_ && inquiry_first_hit_freq_ >= 0) {
-    // Waiting for the second ID after the backoff: the inquirer is still
-    // sweeping the same train, so listen where the first ID was heard.
-    f = inquiry_first_hit_freq_;
-  } else {
-    HopInput in;
-    in.address = giac_hop_address();
-    in.clock = clkn;
-    in.mode = HopMode::kInquiryScan;
-    in.x_offset = x_offset;
-    f = hop_frequency(in);
+  HopInput in;
+  in.address = giac_hop_address();
+  in.clock = clk;
+  in.mode = HopMode::kInquiryScan;
+  in.x_offset = x_offset;
+  return {hop_frequency(in), ticks};
+}
+
+void LinkController::follow_scan(int freq) {
+  if (freq < 0) {
+    if (!receiver_.assembling()) radio_.disable_rx();
+  } else if (!radio_.rx_enabled()) {
+    radio_.enable_rx(freq);
+    scan_freq_ = freq;
+  } else if (freq != scan_freq_ && !receiver_.assembling()) {
+    radio_.retune_rx(freq);
+    scan_freq_ = freq;
   }
-  if (!radio_.rx_enabled()) {
-    radio_.enable_rx(f);
-    scan_freq_ = f;
-  } else if (f != scan_freq_ && !receiver_.assembling()) {
-    radio_.retune_rx(f);
-    scan_freq_ = f;
+}
+
+std::uint32_t LinkController::scan_ticks(const ScanPlan& plan) const {
+  if (radio_.tx_busy()) return 1;
+  const bool following = plan.freq < 0 ? !radio_.rx_enabled()
+                                        : radio_.rx_enabled() &&
+                                              scan_freq_ == plan.freq;
+  return following ? plan.ticks : 1;
+}
+
+std::uint32_t LinkController::ticks_until_needed(std::uint32_t clkn) const {
+  switch (state_) {
+    case LcState::kInquiry:
+    case LcState::kPage:
+    case LcState::kMasterResponse:
+      return 1;
+    case LcState::kConnectionMaster:
+      return 4 - (clkn & 3u);  // the next even-slot start
+    case LcState::kPageScan:
+      return scan_ticks(page_scan_plan(clkn));
+    case LcState::kInquiryScan:
+    case LcState::kInquiryResponse:
+      // The backoff end wakes the clock.
+      return in_backoff_ ? 0 : scan_ticks(inquiry_scan_plan(clkn));
+    case LcState::kStandby:
+    case LcState::kSlaveResponse:
+    case LcState::kConnectionSlave:
+      return 0;
   }
+  return 1;
 }
 
 void LinkController::inquiry_scan_on_result(const Receiver::Result& r) {
@@ -570,7 +620,7 @@ void LinkController::send_inquiry_fhs(SimTime /*now*/, int hit_freq) {
 // ---------------------------------------------------------------------------
 
 void LinkController::page_tick() {
-  if (slots_in_state() >= config_.page_timeout_slots) {
+  if (slots_in_phase() >= config_.page_timeout_slots) {
     radio_.disable_rx();
     enter_state(LcState::kStandby);
     if (callbacks_.page_complete) callbacks_.page_complete(false);
@@ -578,8 +628,8 @@ void LinkController::page_tick() {
   }
   const std::uint32_t clke = (clock_.clkn() + page_clkn_offset_) & kClockMask;
   const int koffset =
-      (ticks_in_state_ / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
-                                                                : kTrainB;
+      (phase_ticks_ / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
+                                                             : kTrainB;
   const int half = static_cast<int>(clke & 1u);
   if (((clke >> 1) & 1u) == 0) {
     if (receiver_.assembling() || radio_.tx_busy()) return;
@@ -678,7 +728,6 @@ void LinkController::master_send_page_fhs() {
   PacketHeader h;
   h.type = PacketType::kFhs;
   ++stats_.fhs_tx;
-  fhs_clk_at_tx_ = clock_.clkn();
   transmit_packet(h, fhs.to_bytes(), page_target_.lap(), page_target_.uap(),
                   std::nullopt, respmap(page_hit_freq_, 1));
   // The slave's ID acknowledgement arrives 625 us after the FHS start;
@@ -692,18 +741,16 @@ void LinkController::master_send_page_fhs() {
 
 void LinkController::page_scan_tick() {
   if (radio_.tx_busy()) return;
+  follow_scan(page_scan_plan(clock_.clkn()).freq);
+}
+
+LinkController::ScanPlan LinkController::page_scan_plan(
+    std::uint32_t clk) const {
   HopInput in;
   in.address = addr_.hop_address();
-  in.clock = clock_.clkn();
+  in.clock = clk;
   in.mode = HopMode::kPageScan;
-  const int f = hop_frequency(in);
-  if (!radio_.rx_enabled()) {
-    radio_.enable_rx(f);
-    scan_freq_ = f;
-  } else if (f != scan_freq_ && !receiver_.assembling()) {
-    radio_.retune_rx(f);
-    scan_freq_ = f;
-  }
+  return {hop_frequency(in), kClk12 - (clk & (kClk12 - 1))};
 }
 
 void LinkController::page_scan_on_result(const Receiver::Result& r) {
@@ -849,7 +896,6 @@ void LinkController::master_transmit_to(SlaveLink& link, std::uint32_t clk) {
   // Open the response window in the slot following the packet.
   const int slots = slots_occupied(h.type);
   const std::uint32_t clk_resp = (clk + 2u * static_cast<std::uint32_t>(slots)) & kClockMask;
-  awaiting_response_lt_ = link.lt_addr;
   defer(kSlotDuration * static_cast<std::uint64_t>(slots), kMasterRxWindow,
         clk_resp);
 }
@@ -1242,7 +1288,7 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   w.u32(config_.hold_wake_early_slots);
   // State machine.
   w.u8(static_cast<std::uint8_t>(state_));
-  w.u32(ticks_in_state_);
+  w.u32(phase_ticks_);
   // Master context: piconet membership and per-link state.
   sim::save_seq(w, piconet_.slaves().size(), [&](std::size_t i) {
     const SlaveLink& l = piconet_.slaves()[i];
@@ -1267,7 +1313,6 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   });
   w.u64(master_addr_.raw());
   save_opt_u8(w, pending_first_poll_lt_);
-  save_opt_u8(w, awaiting_response_lt_);
   broadcast_queue_.save_state(w);
   // Slave context.
   w.u8(own_lt_addr_);
@@ -1285,8 +1330,6 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   w.b(my_arqn_out_);
   save_opt_bool(w, my_last_seqn_in_);
   save_opt_msg(w, my_in_flight_);
-  w.b(respond_at_clk_.has_value());
-  w.u32(respond_at_clk_.value_or(0));
   w.b(first_response_sent_);
   // Inquiry context.
   sim::save_seq(w, discovered_.size(), [&](std::size_t i) {
@@ -1306,9 +1349,7 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   w.u64(page_target_.raw());
   w.u32(page_clkn_offset_);
   w.u32(static_cast<std::uint32_t>(page_hit_freq_));
-  w.u32(static_cast<std::uint32_t>(response_n_));
   w.u32(static_cast<std::uint32_t>(response_retries_));
-  w.u32(fhs_clk_at_tx_);
   // Counters.
   w.u64(stats_.id_tx);
   w.u64(stats_.id_rx);
@@ -1343,7 +1384,7 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   config_.beacon_interval_slots = r.u32();
   config_.hold_wake_early_slots = r.u32();
   state_ = static_cast<LcState>(r.u8());
-  ticks_in_state_ = r.u32();
+  phase_ticks_ = r.u32();
   piconet_.slaves().clear();
   sim::restore_seq(r, [&](std::size_t) {
     SlaveLink l;
@@ -1369,7 +1410,6 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   });
   master_addr_ = BdAddr::from_raw(r.u64());
   pending_first_poll_lt_ = load_opt_u8(r);
-  awaiting_response_lt_ = load_opt_u8(r);
   broadcast_queue_.restore_state(r);
   own_lt_addr_ = r.u8();
   my_mode_ = static_cast<LinkMode>(r.u8());
@@ -1386,10 +1426,6 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   my_arqn_out_ = r.b();
   my_last_seqn_in_ = load_opt_bool(r);
   my_in_flight_ = load_opt_msg(r);
-  const bool have_respond_clk = r.b();
-  const std::uint32_t respond_clk = r.u32();
-  respond_at_clk_ = have_respond_clk ? std::optional<std::uint32_t>(respond_clk)
-                                     : std::nullopt;
   first_response_sent_ = r.b();
   discovered_.clear();
   sim::restore_seq(r, [&](std::size_t) {
@@ -1409,9 +1445,7 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   page_target_ = BdAddr::from_raw(r.u64());
   page_clkn_offset_ = r.u32();
   page_hit_freq_ = static_cast<int>(r.u32());
-  response_n_ = static_cast<int>(r.u32());
   response_retries_ = static_cast<int>(r.u32());
-  fhs_clk_at_tx_ = r.u32();
   stats_.id_tx = r.u64();
   stats_.id_rx = r.u64();
   stats_.fhs_tx = r.u64();

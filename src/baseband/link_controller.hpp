@@ -8,12 +8,17 @@
 //
 // Timing model
 // ------------
-// Pre-connection states run on the device's own CLKN half-slot ticks.
-// A connected slave instead anchors a 625 us action timer to the master's
-// slot grid, whose phase it learns from the page-response FHS packet
-// arrival time (the FHS is transmitted at a master even-slot boundary,
-// see DESIGN.md). Clocks are drift-free in this model, so the anchor
-// stays valid for the life of the connection.
+// Pre-connection states and the connected master run on the device's
+// own CLKN half-slot ticks. A connected slave instead anchors a 625 us
+// action timer to the master's slot grid, whose phase it learns from the
+// page-response FHS packet arrival time (the FHS is transmitted at a
+// master even-slot boundary, see DESIGN.md). Clocks are drift-free in
+// this model, so the anchor stays valid for the life of the connection.
+//
+// The clock delivers only the ticks the controller asks for
+// (ticks_until_needed, per state; see docs/ARCHITECTURE.md "Demand-driven
+// clock"). A state change, an inquiry-scan receiver result and the
+// backoff end wake it.
 //
 // Response-frequency convention
 // -----------------------------
@@ -138,7 +143,8 @@ struct LcStats {
 
 class LinkController final : public sim::Module,
                              public sim::Snapshotable,
-                             public sim::RearmHandler {
+                             public sim::RearmHandler,
+                             public TickDemand {
  public:
   struct Callbacks {
     /// Inquiry finished (success = target responses collected in time).
@@ -223,6 +229,9 @@ class LinkController final : public sim::Module,
   void rearm_timer(std::uint16_t kind, std::uint64_t payload,
                    sim::SimTime when) override;
 
+  // TickDemand: the next tick the current state can act on.
+  std::uint32_t ticks_until_needed(std::uint32_t clkn) const override;
+
  private:
   /// Timer descriptor kinds. Every deferred action of the controller is
   /// one of these; the payload carries its whole capture (beyond `this`),
@@ -251,6 +260,20 @@ class LinkController final : public sim::Module,
   void page_scan_tick();
   void master_response_tick();
   void master_tick();
+
+  // ---- scan plans (shared by the scan ticks and ticks_until_needed) ----
+  /// What a scan tick at `clk` tunes to, and for how long that holds.
+  struct ScanPlan {
+    int freq = -1;             // -1: RX off (between inquiry scan windows)
+    std::uint32_t ticks = 0;   // ticks until the plan may change; 0 = never
+  };
+  ScanPlan inquiry_scan_plan(std::uint32_t clk) const;
+  ScanPlan page_scan_plan(std::uint32_t clk) const;
+  /// Tunes the receiver to a scan frequency (or closes it for -1).
+  void follow_scan(int freq);
+  /// Ticks until a scan tick can act: the plan's horizon when the
+  /// receiver already follows it, else the next tick.
+  std::uint32_t scan_ticks(const ScanPlan& plan) const;
 
   // ---- connection: master ----
   void master_transmit_to(SlaveLink& link, std::uint32_t clk);
@@ -304,7 +327,7 @@ class LinkController final : public sim::Module,
                      std::uint64_t payload = 0);
   /// The closure for one descriptor (capture = this + payload).
   sim::UniqueFunction make_action(Kind kind, std::uint64_t payload);
-  std::uint32_t slots_in_state() const { return ticks_in_state_ / 2; }
+  std::uint32_t slots_in_phase() const { return phase_ticks_ / 2; }
 
   // ---- identity & wiring ----
   BdAddr addr_;
@@ -315,7 +338,11 @@ class LinkController final : public sim::Module,
   Callbacks callbacks_;
 
   LcState state_ = LcState::kStandby;
-  std::uint32_t ticks_in_state_ = 0;
+  /// Ticks since enable_inquiry / enable_page: the inquiry and page
+  /// timeouts and train switches count them. The page response dialogue
+  /// is part of the page phase, so a page resumed after a collapsed
+  /// dialogue keeps counting from enable_page.
+  std::uint32_t phase_ticks_ = 0;
 
   // ---- master context ----
   Piconet piconet_;
@@ -323,7 +350,6 @@ class LinkController final : public sim::Module,
   /// LT_ADDR of a slave we are paging / just admitted and still expect
   /// the first POLL response from (page success criterion).
   std::optional<std::uint8_t> pending_first_poll_lt_;
-  std::optional<std::uint8_t> awaiting_response_lt_;
   /// Broadcast (LT_ADDR 0) traffic, delivered at park beacons.
   PacketBuffer broadcast_queue_;
 
@@ -345,8 +371,6 @@ class LinkController final : public sim::Module,
   bool my_arqn_out_ = false;
   std::optional<bool> my_last_seqn_in_;
   std::optional<OutboundMessage> my_in_flight_;
-  /// Even-slot clock of the packet we must answer in the next odd slot.
-  std::optional<std::uint32_t> respond_at_clk_;
 
   bool first_response_sent_ = false;
 
@@ -366,9 +390,7 @@ class LinkController final : public sim::Module,
   BdAddr page_target_;
   std::uint32_t page_clkn_offset_ = 0;
   int page_hit_freq_ = -1;
-  int response_n_ = 0;
   int response_retries_ = 0;
-  std::uint32_t fhs_clk_at_tx_ = 0;
 
   LcStats stats_;
 };

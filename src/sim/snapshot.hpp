@@ -46,9 +46,10 @@
 namespace btsc::sim {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x42545343u;    // "BTSC"
-/// Version 3 dropped the channel's remote-traffic counters from "CHAN"
-/// and the environment count from "COEX"; older images are rejected.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// Version 4 made "CLKN" the demand-driven clock's (value, next grid
+/// instant, delivered ticks) and dropped four dead fields from "LC  ";
+/// older images are rejected.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// FNV-1a 64-bit hash of `n` bytes; the snapshot integrity checksum.
 inline std::uint64_t snapshot_checksum(const std::uint8_t* p, std::size_t n) {

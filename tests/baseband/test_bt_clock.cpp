@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "sim/environment.hpp"
+#include "sim/snapshot.hpp"
 
 namespace btsc::baseband {
 namespace {
@@ -10,6 +15,30 @@ namespace {
 using namespace btsc::sim::literals;
 using btsc::sim::Environment;
 using btsc::sim::SimTime;
+
+/// A subscriber with a fixed answer: 0 sleeps after every delivered tick,
+/// n > 0 asks for every n-th tick.
+struct FixedDemand final : TickDemand {
+  explicit FixedDemand(std::uint32_t a) : ahead(a) {}
+  std::uint32_t ticks_until_needed(std::uint32_t) const override {
+    return ahead;
+  }
+  std::uint32_t ahead;
+};
+
+/// Records (time, clkn) for every delivered tick.
+struct TickLog {
+  TickLog(Environment& env, NativeClock& clk) {
+    auto& p = env.register_process("log", [this, &env, &clk] {
+      seen.emplace_back(env.now(), clk.clkn());
+    });
+    clk.tick_event().add_sensitive(p);
+  }
+  std::vector<std::pair<SimTime, std::uint32_t>> seen;
+};
+
+/// The i-th grid instant of a clock whose first tick is at `phase`.
+SimTime grid(SimTime phase, std::uint64_t i) { return phase + kTickPeriod * i; }
 
 TEST(NativeClockTest, TickPeriodIsHalfSlot) {
   EXPECT_EQ(kTickPeriod * 2, kSlotDuration);
@@ -73,10 +102,221 @@ TEST(NativeClockTest, BitAccessor) {
 TEST(NativeClockTest, LastTickTime) {
   Environment env;
   NativeClock clk(env, "clkn", 0, SimTime::us(50));
+  // Ticks at 50us, 362.5us, 675us, 987.5us: the fourth lands exactly at
+  // 987.5 us.
+  env.run_until(SimTime::ns(987'499));
+  EXPECT_EQ(clk.clkn(), 3u);
+  env.run_until(SimTime::ns(987'500));
+  EXPECT_EQ(clk.clkn(), 4u);
   env.run_until(SimTime::ms(1));
-  // Ticks at 50us, 362.5us, 675us, 987.5us.
-  EXPECT_EQ(clk.last_tick_time(), SimTime::ns(987'500));
+  EXPECT_EQ(clk.clkn(), 4u);
 }
+
+// ---- demand-driven delivery ------------------------------------------------
+
+TEST(NativeClockTest, ClknCountsElidedTicksDuringSleep) {
+  Environment env;
+  const SimTime phase = SimTime::us(50);
+  NativeClock clk(env, "clkn", kClockMask - 5, phase);
+  const FixedDemand sleep(0);
+  clk.set_demand(&sleep);
+  // The first tick is delivered (its demand answer puts the clock to
+  // sleep); every later one is elided but still counted by clkn().
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const auto before = static_cast<std::uint32_t>(kClockMask - 5 + i);
+    env.run_until(grid(phase, i) - SimTime::ns(1));
+    EXPECT_EQ(clk.clkn(), before & kClockMask) << "just before tick " << i;
+    // Exactly on the (elided) grid instant the tick counts as passed.
+    env.run_until(grid(phase, i));
+    EXPECT_EQ(clk.clkn(), (before + 1) & kClockMask) << "on tick " << i;
+    env.run_until(grid(phase, i) + SimTime::ns(156'250));
+    EXPECT_EQ(clk.clkn(), (before + 1) & kClockMask) << "mid tick " << i;
+  }
+  EXPECT_EQ(clk.ticks(), 1u);
+  EXPECT_TRUE(env.idle());  // asleep: no delivery timer pending
+}
+
+TEST(NativeClockTest, ClknReadInsideDispatchOnElidedInstantCountsIt) {
+  Environment env;
+  NativeClock clk(env, "clkn", 0);
+  const FixedDemand sleep(0);
+  clk.set_demand(&sleep);
+  std::uint32_t read = 0;
+  env.schedule(kTickPeriod * 9, [&] { read = clk.clkn(); });
+  env.run_until(SimTime::ms(10));
+  EXPECT_EQ(read, 9u);
+  EXPECT_EQ(clk.ticks(), 1u);
+}
+
+TEST(NativeClockTest, WakeOnGridInstantDeliversThatTickInSameInstant) {
+  Environment env;
+  const SimTime phase = SimTime::us(120);
+  NativeClock clk(env, "clkn", 100, phase);
+  FixedDemand demand(0);
+  clk.set_demand(&demand);
+  TickLog log(env, clk);
+  // A timed callback exactly on the elided instant 10 wakes the clock:
+  // that instant's tick runs in the same instant, after the callback.
+  env.schedule(grid(phase, 10), [&] { clk.wake(); });
+  env.run_until(grid(phase, 20));
+  ASSERT_EQ(log.seen.size(), 2u);
+  EXPECT_EQ(log.seen[0], std::make_pair(grid(phase, 0), 101u));
+  EXPECT_EQ(log.seen[1], std::make_pair(grid(phase, 10), 111u));
+
+  // Off the grid, the wake delivers the next instant.
+  env.schedule(SimTime::us(400), [&] { clk.wake(); });
+  env.run_until(grid(phase, 30));
+  ASSERT_EQ(log.seen.size(), 3u);
+  EXPECT_EQ(log.seen[2], std::make_pair(grid(phase, 22), 123u));
+
+  // Between runs an on-grid now() is finished: its delta has run, so a
+  // wake there delivers the following instant.
+  clk.wake();
+  env.run_until(grid(phase, 40));
+  ASSERT_EQ(log.seen.size(), 4u);
+  EXPECT_EQ(log.seen[3], std::make_pair(grid(phase, 31), 132u));
+}
+
+TEST(NativeClockTest, WakeInsideDeliveredTickTakesTheNextInstantOnce) {
+  Environment env;
+  NativeClock clk(env, "clkn", 0);
+  FixedDemand demand(4);
+  clk.set_demand(&demand);
+  TickLog log(env, clk);
+  bool wake_on_tick = true;
+  auto& waker = env.register_process("waker", [&] {
+    if (wake_on_tick) clk.wake();
+  });
+  clk.tick_event().add_sensitive(waker);
+  // A wake from the delivered tick's own delta pulls the pending
+  // delivery (four ticks out) back to the next instant -- never the
+  // same instant again.
+  env.run_until(kTickPeriod * 3);
+  ASSERT_EQ(log.seen.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(log.seen[i], std::make_pair(kTickPeriod * (i + 1), i + 1));
+  }
+  EXPECT_EQ(env.scheduler_stats().canceled, 3u);
+
+  // With the next instant already pending, a wake keeps that timer:
+  // delivery every tick costs no cancel-and-re-arm.
+  demand.ahead = 1;
+  env.run_until(kTickPeriod * 20);
+  EXPECT_EQ(log.seen.size(), 20u);
+  EXPECT_EQ(env.scheduler_stats().canceled, 3u);
+
+  wake_on_tick = false;
+  demand.ahead = 4;
+  env.run_until(kTickPeriod * 40);
+  EXPECT_EQ(log.seen.size(), 25u);
+  EXPECT_EQ(env.scheduler_stats().canceled, 3u);
+}
+
+TEST(NativeClockTest, EveryNthTickDelivered) {
+  Environment env;
+  NativeClock clk(env, "clkn", 2);
+  const FixedDemand every4(4);
+  clk.set_demand(&every4);
+  TickLog log(env, clk);
+  env.run_until(kTickPeriod * 17);
+  ASSERT_EQ(log.seen.size(), 5u);
+  for (std::size_t i = 0; i < log.seen.size(); ++i) {
+    EXPECT_EQ(log.seen[i].first, kTickPeriod * (1 + 4 * i));
+    EXPECT_EQ(log.seen[i].second, 3u + 4u * static_cast<std::uint32_t>(i));
+  }
+  EXPECT_EQ(clk.clkn(), 19u);
+}
+
+TEST(NativeClockTest, ResetPhaseDuringSleep) {
+  Environment env;
+  NativeClock clk(env, "clkn", 40, SimTime::us(10));
+  const FixedDemand sleep(0);
+  clk.set_demand(&sleep);
+  TickLog log(env, clk);
+  env.run_until(SimTime::ms(3) + SimTime::us(7));
+  EXPECT_EQ(clk.clkn(), 50u);
+  clk.reset_phase(500, SimTime::us(200));
+  EXPECT_EQ(clk.ticks(), 0u);
+  EXPECT_EQ(clk.clkn(), 500u);
+  const SimTime first = SimTime::ms(3) + SimTime::us(207);
+  env.run_until(first - SimTime::ns(1));
+  EXPECT_EQ(clk.clkn(), 500u);
+  env.run_until(first + kTickPeriod * 7);
+  // Like a fresh construction: the first tick on the new grid is
+  // delivered, then the clock sleeps and counts from the new phase.
+  ASSERT_EQ(log.seen.size(), 2u);
+  EXPECT_EQ(log.seen[1], std::make_pair(first, 501u));
+  EXPECT_EQ(clk.ticks(), 1u);
+  EXPECT_EQ(clk.clkn(), 508u);
+}
+
+/// A clock that sleeps between scheduled wakes (as a scanning link
+/// controller does), with every wake a tagged timer so the schedule
+/// survives a checkpoint.
+struct WakeBench final : sim::RearmHandler {
+  static constexpr SimTime kPhase = SimTime::us(333);
+  // Grid instants are 333 us + i * 312.5 us: wakes off the grid and on
+  // elided instants 17 and 65.
+  static constexpr SimTime kWakes[] = {
+      SimTime::us(2000), kPhase + kTickPeriod * 17, SimTime::us(9000),
+      kPhase + kTickPeriod * 65};
+
+  WakeBench(std::uint64_t seed, std::uint32_t ahead)
+      : env(seed),
+        clk(env, "clkn", 0x0FFFFF00u, kPhase),
+        demand(ahead),
+        log(env, clk) {
+    clk.set_demand(&demand);
+    env.register_rearm("bench", this, this);
+    for (std::uint64_t i = 0; i < std::size(kWakes); ++i) wake_at(i);
+  }
+  void wake_at(std::uint64_t i) {
+    env.schedule_tagged(kWakes[i] - env.now(), 1, i, [this] { clk.wake(); },
+                        this);
+  }
+  void rearm_timer(std::uint16_t, std::uint64_t payload, SimTime) override {
+    wake_at(payload);
+  }
+
+  Environment env;
+  NativeClock clk;
+  FixedDemand demand;
+  TickLog log;
+};
+
+class NativeClockSleepCheckpoint
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(NativeClockSleepCheckpoint, RestoredMidSleepMatchesUninterrupted) {
+  const SimTime end = SimTime::ms(30);
+  WakeBench whole(7, GetParam());
+  whole.env.run_until(end);
+  ASSERT_GE(whole.log.seen.size(), 5u);
+
+  // Checkpoint mid-sleep (7 ms lies between the second and third wake),
+  // restore into a twin built with another seed, and continue there.
+  WakeBench before(7, GetParam());
+  before.env.run_until(SimTime::ms(7));
+  sim::SnapshotWriter w;
+  before.clk.save_state(w);
+  before.env.save_state(w);
+  const auto bytes = w.take();
+  WakeBench after(99, GetParam());
+  sim::SnapshotReader r(bytes);
+  after.clk.restore_state(r);
+  after.env.restore_state(r);
+  EXPECT_EQ(after.clk.clkn(), before.clk.clkn());
+  after.log.seen = before.log.seen;
+  after.env.run_until(end);
+
+  EXPECT_EQ(after.log.seen, whole.log.seen);
+  EXPECT_EQ(after.clk.ticks(), whole.clk.ticks());
+  EXPECT_EQ(after.clk.clkn(), whole.clk.clkn());
+}
+
+// 0: asleep with nothing pending; 5: a delivery pending four ticks out.
+INSTANTIATE_TEST_SUITE_P(Demand, NativeClockSleepCheckpoint,
+                         ::testing::Values(0u, 5u));
 
 TEST(ClockOffsetTest, OffsetArithmetic) {
   EXPECT_EQ(clock_offset(10, 15), 5u);

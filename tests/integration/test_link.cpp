@@ -139,6 +139,51 @@ TEST(LinkIntegration, PageIsFastWhenSynchronised) {
   EXPECT_LT(slots, 120u) << "page took " << slots << " slots";
 }
 
+TEST(LinkIntegration, ResumedPageKeepsTheOriginalTimeout) {
+  // Spec-like handling of a collapsed page response dialogue: paging
+  // resumes, and the page timeout keeps counting from enable_page.
+  Testbed tb;
+  LcConfig& cfg = tb.master->lc().config();
+  cfg.abort_page_on_dialogue_failure = false;
+  cfg.page_timeout_slots = 512;
+  std::optional<bool> done;
+  SimTime done_at = SimTime::zero();
+  LinkController::Callbacks cb;
+  cb.page_complete = [&](bool ok) {
+    done = ok;
+    done_at = tb.env.now();
+  };
+  tb.master->lc().set_callbacks(cb);
+  const SimTime start = tb.env.now();
+  tb.master->lc().enable_page(
+      kSlaveAddr,
+      clock_offset(tb.master->clock().clkn(), tb.slave->clock().clkn()));
+  // The slave starts listening late, so the dialogue begins deep into
+  // the page timeout.
+  tb.env.run(kSlotDuration * 200);
+  tb.slave->lc().enable_page_scan();
+  while (tb.master->lc().state() == LcState::kPage &&
+         tb.env.now() < start + kSlotDuration * 500) {
+    tb.env.run(50_us);
+  }
+  ASSERT_EQ(tb.master->lc().state(), LcState::kMasterResponse);
+  // Silence the slave: the master's FHS goes unacknowledged and the
+  // dialogue collapses back into paging.
+  tb.slave->lc().enable_detach_reset();
+  while (tb.master->lc().state() == LcState::kMasterResponse) {
+    tb.env.run(50_us);
+  }
+  ASSERT_EQ(tb.master->lc().state(), LcState::kPage);
+  ASSERT_FALSE(done.has_value());
+
+  tb.env.run(kSlotDuration * 1024);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_FALSE(*done);
+  const std::uint64_t slots = (done_at - start) / kSlotDuration;
+  EXPECT_GE(slots, 511u);
+  EXPECT_LE(slots, 513u) << "the resumed page restarted its timeout";
+}
+
 TEST(LinkIntegration, SlaveClockTracksMaster) {
   Testbed tb;
   ASSERT_TRUE(tb.create_piconet());

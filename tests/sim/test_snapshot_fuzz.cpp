@@ -51,15 +51,9 @@ core::SystemConfig fuzz_system_config() {
   return sc;
 }
 
-/// A real system image: master + 2 slaves under noise, mid-inquiry.
 /// A checkpoint is only legal when no completion callback is in flight
 /// (Radio::save_state throws); nudge forward until the stream closes.
-std::vector<std::uint8_t> system_stream() {
-  core::BluetoothSystem sys(fuzz_system_config());
-  sys.slave(0).lc().enable_inquiry_scan();
-  sys.slave(1).lc().enable_inquiry_scan();
-  sys.master().lc().enable_inquiry();
-  sys.run(SimTime::ms(100));
+std::vector<std::uint8_t> snapshot_when_legal(core::BluetoothSystem& sys) {
   for (int step = 0; step < 64; ++step) {
     try {
       return sys.save_snapshot();
@@ -68,6 +62,50 @@ std::vector<std::uint8_t> system_stream() {
     }
   }
   return sys.save_snapshot();
+}
+
+/// A real system image: master + 2 slaves under noise, mid-inquiry (the
+/// scanners' clocks asleep between scan windows).
+std::vector<std::uint8_t> system_stream() {
+  core::BluetoothSystem sys(fuzz_system_config());
+  sys.slave(0).lc().enable_inquiry_scan();
+  sys.slave(1).lc().enable_inquiry_scan();
+  sys.master().lc().enable_inquiry();
+  sys.run(SimTime::ms(100));
+  return snapshot_when_legal(sys);
+}
+
+/// Every whole-system image of the corpus, each taken while clocks
+/// sleep: mid-inquiry, a scanner in its inquiry backoff (the wake is a
+/// pending backoff-end action), and a connected piconet (slave clocks
+/// asleep, the master's between even slots).
+std::vector<std::vector<std::uint8_t>> system_images() {
+  std::vector<std::vector<std::uint8_t>> images{system_stream()};
+
+  core::BluetoothSystem inquiry(fuzz_system_config());
+  inquiry.slave(0).lc().enable_inquiry_scan();
+  inquiry.slave(1).lc().enable_inquiry_scan();
+  inquiry.master().lc().enable_inquiry();
+  while (inquiry.slave(0).lc().stats().backoffs == 0) {
+    inquiry.run(SimTime::us(250));
+  }
+  images.push_back(snapshot_when_legal(inquiry));
+  EXPECT_EQ(inquiry.slave(0).lc().state(),
+            baseband::LcState::kInquiryResponse);
+
+  core::BluetoothSystem connected(fuzz_system_config());
+  for (int i = 0; i <= connected.num_slaves(); ++i) {
+    baseband::LcConfig& lc = (i == 0 ? connected.master()
+                                     : connected.slave(i - 1)).lc().config();
+    lc.inquiry_timeout_slots = 32768;
+    lc.page_timeout_slots = 16384;
+    lc.max_response_retries = 8;
+    lc.abort_page_on_dialogue_failure = false;
+  }
+  EXPECT_TRUE(connected.create_piconet());
+  connected.run(SimTime::us(625 * 41) + SimTime::ns(156'250));
+  images.push_back(snapshot_when_legal(connected));
+  return images;
 }
 
 /// True when `bytes` is rejected with SnapshotError by both the raw
@@ -114,11 +152,12 @@ TEST(SnapshotFuzzTest, IntactStreamsRoundTrip) {
   r.leave_section();
   EXPECT_TRUE(r.at_end());
 
-  // And the system image restores cleanly into a twin when unmangled.
-  const auto snap = system_stream();
+  // And every system image restores cleanly into a twin when unmangled.
   core::BluetoothSystem twin(fuzz_system_config());
-  twin.restore_snapshot(snap);
-  EXPECT_EQ(twin.save_snapshot(), snap);
+  for (const auto& snap : system_images()) {
+    twin.restore_snapshot(snap);
+    EXPECT_EQ(twin.save_snapshot(), snap);
+  }
 }
 
 TEST(SnapshotFuzzTest, EveryTruncationThrows) {
@@ -132,29 +171,30 @@ TEST(SnapshotFuzzTest, EveryTruncationThrows) {
 }
 
 TEST(SnapshotFuzzTest, SystemImageTruncationsThrow) {
-  const auto snap = system_stream();
   core::BluetoothSystem twin(fuzz_system_config());
-  // Deterministic sample of cut points (every length would be slow on
-  // a multi-KB image under sanitizers): all short prefixes, then a
-  // pseudo-random spread across the body.
   Rng rng(1);
-  std::vector<std::size_t> cuts;
-  for (std::size_t len = 0; len < 24 && len < snap.size(); ++len) {
-    cuts.push_back(len);
+  for (const auto& snap : system_images()) {
+    // Deterministic sample of cut points (every length would be slow on
+    // a multi-KB image under sanitizers): all short prefixes, then a
+    // pseudo-random spread across the body.
+    std::vector<std::size_t> cuts;
+    for (std::size_t len = 0; len < 24 && len < snap.size(); ++len) {
+      cuts.push_back(len);
+    }
+    for (int i = 0; i < 200; ++i) {
+      cuts.push_back(static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::uint64_t>(snap.size() - 1))));
+    }
+    for (std::size_t len : cuts) {
+      std::vector<std::uint8_t> cut(snap.begin(),
+                                    snap.begin() +
+                                        static_cast<std::ptrdiff_t>(len));
+      expect_rejected(cut, &twin);
+    }
+    // The twin must still be usable after every rejected restore.
+    twin.restore_snapshot(snap);
+    EXPECT_EQ(twin.save_snapshot(), snap);
   }
-  for (int i = 0; i < 200; ++i) {
-    cuts.push_back(static_cast<std::size_t>(
-        rng.uniform(0, static_cast<std::uint64_t>(snap.size() - 1))));
-  }
-  for (std::size_t len : cuts) {
-    std::vector<std::uint8_t> cut(snap.begin(),
-                                  snap.begin() +
-                                      static_cast<std::ptrdiff_t>(len));
-    expect_rejected(cut, &twin);
-  }
-  // The twin must still be usable after every rejected restore.
-  twin.restore_snapshot(snap);
-  EXPECT_EQ(twin.save_snapshot(), snap);
 }
 
 TEST(SnapshotFuzzTest, EveryBitFlipThrows) {
@@ -169,19 +209,20 @@ TEST(SnapshotFuzzTest, EveryBitFlipThrows) {
 }
 
 TEST(SnapshotFuzzTest, SystemImageBitFlipsThrow) {
-  const auto snap = system_stream();
   core::BluetoothSystem twin(fuzz_system_config());
   Rng rng(2);
-  for (int i = 0; i < 400; ++i) {
-    auto mangled = snap;
-    const auto byte = static_cast<std::size_t>(
-        rng.uniform(0, static_cast<std::uint64_t>(snap.size() - 1)));
-    mangled[byte] ^=
-        static_cast<std::uint8_t>(1u << rng.uniform(0, 7));
-    expect_rejected(mangled, &twin);
+  for (const auto& snap : system_images()) {
+    for (int i = 0; i < 400; ++i) {
+      auto mangled = snap;
+      const auto byte = static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::uint64_t>(snap.size() - 1)));
+      mangled[byte] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform(0, 7));
+      expect_rejected(mangled, &twin);
+    }
+    twin.restore_snapshot(snap);
+    EXPECT_EQ(twin.save_snapshot(), snap);
   }
-  twin.restore_snapshot(snap);
-  EXPECT_EQ(twin.save_snapshot(), snap);
 }
 
 // ---- file-backed corpus (sim/checkpoint_store) ------------------------
