@@ -7,8 +7,7 @@ NativeClock::NativeClock(sim::Environment& env, std::string name,
                          sim::SimTime first_tick_delay)
     : Module(env, std::move(name)),
       clkn_(initial & kClockMask),
-      next_(env.now() + first_tick_delay),
-      tick_(env, child_name("tick")) {
+      next_(env.now() + first_tick_delay) {
   env.register_rearm(this->name(), this, this);
   arm(next_);
 }
@@ -33,8 +32,8 @@ void NativeClock::wake() {
   sim::SimTime at = next_;
   if (now >= next_) {
     // Grid instants from next_ on are next_ + k * kTickPeriod. Once the
-    // kernel has finished an instant (outside dispatch), its tick's delta
-    // has run, so an on-grid now() is already in the past.
+    // kernel has finished an instant (outside dispatch), its tick has
+    // run, so an on-grid now() is already in the past.
     const sim::SimTime since = now - next_;
     std::uint64_t k = since / kTickPeriod;
     if (since % kTickPeriod != sim::SimTime::zero() ||
@@ -55,9 +54,11 @@ void NativeClock::tick() {
   clkn_ = clkn();
   next_ = env().now() + kTickPeriod;
   ++tick_count_;
-  tick_.notify_delta();
-  const std::uint32_t ahead =
-      demand_ != nullptr ? demand_->ticks_until_needed(clkn_) : 1u;
+  std::uint32_t ahead = 1;
+  if (subscriber_ != nullptr) {
+    env().queue_end_of_instant(*this);
+    ahead = subscriber_->ticks_until_needed(clkn_);
+  }
   if (ahead != 0) arm(env().now() + kTickPeriod * ahead);
 }
 

@@ -8,17 +8,16 @@
 // learned during paging.
 //
 // The counter is demand-driven: clkn() is computed from the value the
-// last delivered tick set, the next grid instant and now(), and
-// tick_event() fires only at the grid instants the subscriber (a
-// TickDemand) asks for. At most one delivery timer is pending; a
-// sleeping clock has none. See docs/ARCHITECTURE.md "Demand-driven
-// clock".
+// last delivered tick set, the next grid instant and now(), and the
+// subscriber (a TickSubscriber) is called only at the grid instants it
+// asks for, in the kernel's end-of-instant round. At most one delivery
+// timer is pending; a sleeping clock has none. See docs/ARCHITECTURE.md
+// "Demand-driven clock".
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "sim/event.hpp"
 #include "sim/module.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
@@ -32,23 +31,29 @@ inline constexpr sim::SimTime kTickPeriod = sim::SimTime::ns(312'500);
 /// One time slot: 625 us.
 inline constexpr sim::SimTime kSlotDuration = sim::SimTime::us(625);
 
-/// The clock's subscriber: decides which ticks are worth delivering.
-class TickDemand {
+/// The clock's subscriber: decides which ticks are worth delivering and
+/// runs on each delivered one.
+class TickSubscriber {
  public:
-  /// Asked while the tick that set CLKN to `clkn` is delivered (before
-  /// the subscriber's tick process runs): how many ticks ahead the next
-  /// tick it needs is (1 = the very next one), or 0 to sleep until
+  /// Asked while the tick that set CLKN to `clkn` is delivered, at its
+  /// timer (before on_tick runs): how many ticks ahead the next tick it
+  /// needs is (1 = the very next one), or 0 to sleep until
   /// NativeClock::wake(). Answering 1 is always safe; a larger answer
   /// promises that the ticks in between would do nothing.
   virtual std::uint32_t ticks_until_needed(std::uint32_t clkn) const = 0;
 
+  /// Runs in the end-of-instant round of a delivered tick's instant,
+  /// after every timer due there, with clkn() counting the tick.
+  virtual void on_tick() = 0;
+
  protected:
-  ~TickDemand() = default;
+  ~TickSubscriber() = default;
 };
 
 class NativeClock final : public sim::Module,
                           public sim::Snapshotable,
-                          public sim::RearmHandler {
+                          public sim::RearmHandler,
+                          private sim::InstantEnd {
  public:
   /// The counter starts at `initial`; the first increment happens
   /// `first_tick_delay` from now (use a random phase to model
@@ -65,19 +70,15 @@ class NativeClock final : public sim::Module,
   /// Value of CLKN bit `i`.
   bool bit(int i) const { return (clkn() >> i) & 1u; }
 
-  /// Notified (delta) on every delivered tick, after clkn() has counted
-  /// it. Elided ticks notify nothing.
-  sim::Event& tick_event() { return tick_; }
-
-  /// Installs the subscriber that decides which ticks are delivered
-  /// (nullptr: every tick). Not owned; must outlive its installation.
-  void set_demand(const TickDemand* demand) { demand_ = demand; }
+  /// Installs the subscriber (nullptr: none, and every tick is
+  /// delivered to nobody). Not owned; must outlive its installation.
+  void set_subscriber(TickSubscriber* s) { subscriber_ = s; }
 
   /// Re-arms delivery at the first grid instant whose tick has not yet
   /// run: now() itself when it is on the grid and the kernel is still
-  /// dispatching that instant (its tick then runs in its own delta),
-  /// otherwise the next one. A later pending delivery is pulled back; an
-  /// earlier or equal one is kept.
+  /// dispatching that instant (its tick then runs in a later round of
+  /// the same instant), otherwise the next one. A later pending delivery
+  /// is pulled back; an earlier or equal one is kept.
   void wake();
 
   /// Ticks delivered so far (elided ticks are not counted).
@@ -103,6 +104,8 @@ class NativeClock final : public sim::Module,
 
   void arm(sim::SimTime at);
   void tick();
+  // InstantEnd: hands the delivered tick to the subscriber.
+  void end_of_instant() override { subscriber_->on_tick(); }
 
   /// CLKN as set by the tick at next_ - kTickPeriod.
   std::uint32_t clkn_;
@@ -111,8 +114,7 @@ class NativeClock final : public sim::Module,
   /// The one pending delivery (kInvalidTimer while asleep) and its instant.
   sim::TimerId timer_ = sim::kInvalidTimer;
   sim::SimTime armed_at_ = sim::SimTime::zero();
-  const TickDemand* demand_ = nullptr;
-  sim::Event tick_;
+  TickSubscriber* subscriber_ = nullptr;
   std::uint64_t tick_count_ = 0;
 };
 

@@ -16,6 +16,19 @@ constexpr SimTime kIdAirTime = SimTime::us(kIdPacketBits);    // 68 us
 /// Extra margin added to handshake listen windows to absorb the sub-bit
 /// packet_start reconstruction fuzz (see receiver.cpp).
 constexpr SimTime kWindowSlack = SimTime::us(10);
+/// Carrier-sense window: an idle listen closes after this time when only
+/// 'Z' was sampled. 32.5 us / 1250 us = the paper's 2.6% slave activity
+/// baseline.
+constexpr SimTime kCarrierSenseWindow = SimTime::ns(32'500);
+/// Train switch period: each page/inquiry train is repeated this many
+/// times (spec Npage/Ninquiry = 128/256; one train pass is 10 ms).
+constexpr std::uint32_t kTrainRepeats = 256;
+/// Slots a held slave wakes early to reacquire the channel, modelling the
+/// clock uncertainty accumulated while the radio slept. Together with the
+/// master's next-slot resynchronisation poll this costs ~3 slots of full
+/// listening per hold, placing the hold-vs-active crossover of Fig. 12
+/// near the paper's ~120 slots.
+constexpr std::uint32_t kHoldWakeEarlySlots = 1;
 
 std::uint32_t giac_hop_address() {
   return BdAddr(kGiacLap, kDefaultCheckInit, 0).hop_address();
@@ -77,9 +90,7 @@ LinkController::LinkController(sim::Environment& env, std::string name,
       receiver_(receiver),
       config_(config),
       master_addr_(addr) {
-  sim::Process& tick = method("tick", [this] { on_tick(); });
-  clock_.tick_event().add_sensitive(tick);
-  clock_.set_demand(this);
+  clock_.set_subscriber(this);
   receiver_.set_handler([this](const Receiver::Result& r) {
     switch (state_) {
       case LcState::kInquiry:
@@ -123,7 +134,7 @@ LinkController::LinkController(sim::Environment& env, std::string name,
 }
 
 LinkController::~LinkController() {
-  clock_.set_demand(nullptr);
+  clock_.set_subscriber(nullptr);
   env().unregister_rearm(this);
 }
 
@@ -287,8 +298,7 @@ sim::UniqueFunction LinkController::make_action(Kind kind,
         if (state_ != LcState::kConnectionMaster) return;
         arm_receiver(addr_.lap(), addr_.uap(), connection_whiten(clk_resp),
                      Receiver::Expect::kFull);
-        open_rx_window(connection_freq(clk_resp),
-                       config_.carrier_sense_window);
+        open_rx_window(connection_freq(clk_resp), kCarrierSenseWindow);
       };
     case kSlaveSlot:
       return [this] { slave_slot_action(); };
@@ -356,7 +366,6 @@ void LinkController::transmit_packet(const PacketHeader& header,
 
 std::optional<std::uint8_t> LinkController::connection_whiten(
     std::uint32_t clk) const {
-  if (!config_.whitening) return std::nullopt;
   return Whitener::from_clock(clk).state();
 }
 
@@ -427,10 +436,9 @@ void LinkController::inquiry_tick() {
     return;
   }
   const std::uint32_t clkn = clock_.clkn();
-  // Train A first; switch every train_repeats passes (32 ticks per pass).
+  // Train A first; switch every kTrainRepeats passes (32 ticks per pass).
   const int koffset =
-      (phase_ticks_ / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
-                                                             : kTrainB;
+      (phase_ticks_ / (32 * kTrainRepeats)) % 2 == 0 ? kTrainA : kTrainB;
   const int half = static_cast<int>(clkn & 1u);
   if (((clkn >> 1) & 1u) == 0) {
     // TX half slot: send an ID on the inquiry train (skip if the previous
@@ -628,8 +636,7 @@ void LinkController::page_tick() {
   }
   const std::uint32_t clke = (clock_.clkn() + page_clkn_offset_) & kClockMask;
   const int koffset =
-      (phase_ticks_ / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
-                                                             : kTrainB;
+      (phase_ticks_ / (32 * kTrainRepeats)) % 2 == 0 ? kTrainA : kTrainB;
   const int half = static_cast<int>(clke & 1u);
   if (((clke >> 1) & 1u) == 0) {
     if (receiver_.assembling() || radio_.tx_busy()) return;
@@ -975,7 +982,7 @@ void LinkController::slave_slot_action() {
   }
 
   bool listen = false;
-  SimTime sense = config_.carrier_sense_window;
+  SimTime sense = kCarrierSenseWindow;
   switch (my_mode_) {
     case LinkMode::kActive:
       listen = true;
@@ -998,7 +1005,7 @@ void LinkController::slave_slot_action() {
       // uncertainty accumulated while sleeping. This constant sets the
       // resynchronisation cost that positions the hold-vs-active
       // crossover of the paper's Fig. 12 (~120 slots).
-      if (((clk + 2 * config_.hold_wake_early_slots - my_hold_until_clk_) &
+      if (((clk + 2 * kHoldWakeEarlySlots - my_hold_until_clk_) &
            kClockMask) < (1u << 20)) {
         my_mode_ = LinkMode::kActive;
         resyncing_ = true;
@@ -1272,20 +1279,16 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   // Config (mutable via config(); experiments may tweak it mid-setup).
   w.u32(config_.inquiry_timeout_slots);
   w.u32(config_.page_timeout_slots);
-  w.time(config_.carrier_sense_window);
   w.u32(config_.inquiry_backoff_max_slots);
   w.u32(config_.inquiry_scan_window_slots);
   w.u32(config_.inquiry_scan_interval_slots);
   w.b(config_.interlaced_inquiry_scan);
   w.u32(config_.t_poll_slots);
-  w.u32(config_.train_repeats);
   w.u32(static_cast<std::uint32_t>(config_.max_response_retries));
   w.b(config_.abort_page_on_dialogue_failure);
-  w.b(config_.whitening);
   w.u8(static_cast<std::uint8_t>(config_.data_packet_type));
   w.u64(config_.inquiry_target_responses);
   w.u32(config_.beacon_interval_slots);
-  w.u32(config_.hold_wake_early_slots);
   // State machine.
   w.u8(static_cast<std::uint8_t>(state_));
   w.u32(phase_ticks_);
@@ -1369,20 +1372,16 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   r.enter_section(kLcTag);
   config_.inquiry_timeout_slots = r.u32();
   config_.page_timeout_slots = r.u32();
-  config_.carrier_sense_window = r.time();
   config_.inquiry_backoff_max_slots = r.u32();
   config_.inquiry_scan_window_slots = r.u32();
   config_.inquiry_scan_interval_slots = r.u32();
   config_.interlaced_inquiry_scan = r.b();
   config_.t_poll_slots = r.u32();
-  config_.train_repeats = r.u32();
   config_.max_response_retries = static_cast<int>(r.u32());
   config_.abort_page_on_dialogue_failure = r.b();
-  config_.whitening = r.b();
   config_.data_packet_type = static_cast<PacketType>(r.u8());
   config_.inquiry_target_responses = static_cast<std::size_t>(r.u64());
   config_.beacon_interval_slots = r.u32();
-  config_.hold_wake_early_slots = r.u32();
   state_ = static_cast<LcState>(r.u8());
   phase_ticks_ = r.u32();
   piconet_.slaves().clear();

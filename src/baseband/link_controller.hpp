@@ -15,10 +15,12 @@
 // master even-slot boundary, see DESIGN.md). Clocks are drift-free in
 // this model, so the anchor stays valid for the life of the connection.
 //
-// The clock delivers only the ticks the controller asks for
-// (ticks_until_needed, per state; see docs/ARCHITECTURE.md "Demand-driven
-// clock"). A state change, an inquiry-scan receiver result and the
-// backoff end wake it.
+// The controller is its clock's TickSubscriber: the clock delivers only
+// the ticks it asks for (ticks_until_needed, per state; see
+// docs/ARCHITECTURE.md "Demand-driven clock"), and on_tick runs in the
+// kernel's end-of-instant round, after every timer due at the tick's
+// instant. A state change, an inquiry-scan receiver result and the
+// backoff end wake the clock.
 //
 // Response-frequency convention
 // -----------------------------
@@ -69,10 +71,6 @@ struct LcConfig {
   /// Inquiry timeout (paper: 1.28 s = 2048 slots for both phases).
   std::uint32_t inquiry_timeout_slots = 2048;
   std::uint32_t page_timeout_slots = 2048;
-  /// Carrier-sense window: an idle listen closes after this time when
-  /// only 'Z' was sampled. 32.5 us / 1250 us = the paper's 2.6% slave
-  /// activity baseline.
-  sim::SimTime carrier_sense_window = sim::SimTime::ns(32'500);
   /// Random backoff ceiling between the two inquiry IDs (spec: 0..1023).
   std::uint32_t inquiry_backoff_max_slots = 1023;
   /// Inquiry scan window (slots) per scan interval; 0 = scan
@@ -91,9 +89,6 @@ struct LcConfig {
   bool interlaced_inquiry_scan = true;
   /// Poll interval guarantee for active slaves.
   std::uint32_t t_poll_slots = kDefaultTPollSlots;
-  /// Train switch period: each page/inquiry train is repeated this many
-  /// times (spec Npage/Ninquiry = 128/256; one train pass is 10 ms).
-  std::uint32_t train_repeats = 256;
   /// FHS transmissions in the page response dialogue before giving up.
   /// The default of 1 (single shot) reproduces the paper's steep page
   /// failure curve: the FHS payload (16 FEC blocks + CRC) is the most
@@ -102,20 +97,12 @@ struct LcConfig {
   /// When true (paper behaviour), a collapsed page response dialogue
   /// aborts the whole page attempt instead of resuming the ID train.
   bool abort_page_on_dialogue_failure = true;
-  /// Whitening on connection-state packets.
-  bool whitening = true;
   /// Preferred ACL packet type for user data.
   PacketType data_packet_type = PacketType::kDm1;
   /// Number of FHS responses to collect before inquiry completes.
   std::size_t inquiry_target_responses = 1;
   /// Beacon period for parked slaves (slots).
   std::uint32_t beacon_interval_slots = 64;
-  /// Slots a held slave wakes early to reacquire the channel, modelling
-  /// the clock uncertainty accumulated while the radio slept. Together
-  /// with the master's next-slot resynchronisation poll this costs ~3
-  /// slots of full listening per hold, placing the hold-vs-active
-  /// crossover of Fig. 12 near the paper's ~120 slots.
-  std::uint32_t hold_wake_early_slots = 1;
 };
 
 /// A device found during inquiry, with the clock estimate for paging.
@@ -144,7 +131,7 @@ struct LcStats {
 class LinkController final : public sim::Module,
                              public sim::Snapshotable,
                              public sim::RearmHandler,
-                             public TickDemand {
+                             public TickSubscriber {
  public:
   struct Callbacks {
     /// Inquiry finished (success = target responses collected in time).
@@ -229,8 +216,10 @@ class LinkController final : public sim::Module,
   void rearm_timer(std::uint16_t kind, std::uint64_t payload,
                    sim::SimTime when) override;
 
-  // TickDemand: the next tick the current state can act on.
+  // TickSubscriber: the next tick the current state can act on, and
+  // the per-tick dispatch (own CLKN grid).
   std::uint32_t ticks_until_needed(std::uint32_t clkn) const override;
+  void on_tick() override;
 
  private:
   /// Timer descriptor kinds. Every deferred action of the controller is
@@ -252,8 +241,7 @@ class LinkController final : public sim::Module,
     kSlaveSlot = 13,          // connected-slave slot action (master grid)
     kSlaveRespond = 14,       // payload: CLK of the response slot
   };
-  // ---- per-tick dispatch (own CLKN grid) ----
-  void on_tick();
+  // ---- per-state ticks ----
   void inquiry_tick();
   void inquiry_scan_tick();
   void page_tick();

@@ -289,10 +289,8 @@ void CreationPoint::restore_state(sim::SnapshotReader& r) {
 
 std::unique_ptr<BluetoothSystem> make_creation_system(
     double ber, std::uint32_t timeout_slots, std::uint64_t seed) {
-  auto sys = std::make_unique<BluetoothSystem>(
+  return std::make_unique<BluetoothSystem>(
       creation_config(ber, timeout_slots, seed));
-  sys->env().settle();  // snapshot boundary: no delta work pending
-  return sys;
 }
 
 CreationSample run_creation_from(BluetoothSystem& sys,
@@ -304,10 +302,8 @@ CreationSample run_creation_from(BluetoothSystem& sys,
 
 std::unique_ptr<BluetoothSystem> make_backoff_system(
     std::uint32_t backoff_max_slots, std::uint64_t seed) {
-  auto sys = std::make_unique<BluetoothSystem>(
+  return std::make_unique<BluetoothSystem>(
       backoff_config(backoff_max_slots, seed));
-  sys->env().settle();
-  return sys;
 }
 
 namespace {
@@ -321,7 +317,6 @@ ConnectedWarmup connected_warmup(SystemConfig cfg) {
   for (int attempt = 0; attempt < 5; ++attempt) {
     auto sys = std::make_unique<BluetoothSystem>(cfg);
     if (sys->create_piconet()) {
-      sys->env().settle();
       return {std::move(sys), cfg.seed};
     }
     cfg.seed += 7919;
@@ -330,9 +325,7 @@ ConnectedWarmup connected_warmup(SystemConfig cfg) {
 }
 
 std::unique_ptr<BluetoothSystem> connected_scaffold(SystemConfig cfg) {
-  auto sys = std::make_unique<BluetoothSystem>(cfg);
-  sys->env().settle();  // restore requires a settled kernel
-  return sys;
+  return std::make_unique<BluetoothSystem>(cfg);
 }
 
 }  // namespace
@@ -397,9 +390,7 @@ std::unique_ptr<BluetoothSystem> throughput_scaffold(
 std::unique_ptr<TwoPiconets> coexistence_scaffold(std::uint64_t seed) {
   CoexistenceConfig cc;
   cc.seed = seed;
-  auto net = std::make_unique<TwoPiconets>(cc);
-  net->env().settle();
-  return net;
+  return std::make_unique<TwoPiconets>(cc);
 }
 
 std::unique_ptr<TwoPiconets> coexistence_warmup(std::uint64_t warm_seed) {

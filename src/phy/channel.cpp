@@ -41,9 +41,8 @@ NoisyChannel::NoisyChannel(sim::Environment& env, std::string name,
   }
   config_.burst_transport =
       config_.burst_transport && burst_transport_default();
-  if (env.tracer() != nullptr) {
-    bus_trace_ = std::make_unique<sim::Signal<Logic4>>(
-        env, child_name("bus"), Logic4::kZ);
+  if (sim::VcdTracer* t = env.tracer()) {
+    bus_trace_ = t->declare(child_name("bus"), to_char(bus_value_));
   }
   if (config_.rf_delay != sim::SimTime::zero()) {
     // rf_delay apply timers are scheduled through the tagged descriptor
@@ -213,16 +212,13 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   }
   // Equivalence gate: a run is accepted only when the batched loop is
   // provably identical to per-bit drives -- aligned drive instants (no
-  // RF delay), a tracer able to take the backfilled bus waveform, and
-  // nobody else on the air. BER > 0 is no longer refused: noise is
-  // pre-applied as an error mask drawn in exact per-bit order
+  // RF delay) and nobody else on the air. BER > 0 is no longer refused:
+  // noise is pre-applied as an error mask drawn in exact per-bit order
   // (arm_masked_run), guarded against foreign draws reordering the
   // stream.
-  sim::Tracer* tracer = env().tracer();
   if (!config_.burst_transport || bits.empty() ||
-      config_.rf_delay != sim::SimTime::zero() ||
-      (tracer != nullptr && !tracer->supports_backfill()) ||
-      run_.active || defined_ports_ > 0) {
+      config_.rf_delay != sim::SimTime::zero() || run_.active ||
+      defined_ports_ > 0) {
     return false;
   }
   notify_sync();
@@ -234,7 +230,8 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   run_.start = env().now();
   run_.period = period;
   if (config_.ber > 0.0) arm_masked_run(bits);
-  if (tracer != nullptr && bus_trace_ != nullptr && bus_trace_->traced()) {
+  sim::VcdTracer* tracer = env().tracer();
+  if (tracer != nullptr && bus_trace_) {
     // Bus transitions for the run's bits are reconstructed after the
     // fact (backfill_to); the hold keeps the tracer from streaming out
     // anything inside the run's window until they have landed.
@@ -332,21 +329,20 @@ Logic4 NoisyChannel::run_value_now() const {
 
 void NoisyChannel::backfill_to(std::size_t k) {
   assert(trace_hold_ && run_.active && k >= 1);
-  sim::Tracer* tracer = env().tracer();
+  sim::VcdTracer* tracer = env().tracer();
   if (tracer == nullptr) return;  // detached mid-run; nowhere to write
   const sim::BitVector& bits = *run_.bits;
-  const sim::TraceId id = bus_trace_->trace_id();
   // Emit only net transitions at their per-bit instants -- exactly the
-  // changes the Signal commit path would have produced bit by bit
-  // (bus_trace_ still holds the pre-run value while backfilled_ == 0).
-  Logic4 prev = backfilled_ == 0 ? bus_trace_->read()
+  // changes refresh_trace() would have reported bit by bit (bus_value_
+  // still holds the pre-run value while backfilled_ == 0).
+  Logic4 prev = backfilled_ == 0 ? bus_value_
                                  : from_bit(bits[backfilled_ - 1]);
   const std::uint64_t start_ns = run_.start.as_ns();
   const std::uint64_t period_ns = run_.period.as_ns();
   for (std::size_t i = backfilled_; i < k; ++i) {
     const Logic4 v = from_bit(bits[i]);
     if (v != prev) {
-      tracer->change_at(id, sim::TraceEncoder<Logic4>::encode(v),
+      tracer->change_at(*bus_trace_, to_char(v),
                         start_ns + period_ns * static_cast<std::uint64_t>(i));
     }
     prev = v;
@@ -375,11 +371,11 @@ std::size_t NoisyChannel::settle_run(std::size_t driven, Logic4 last) {
   }
   if (trace_hold_) {
     backfill_to(driven);
-    // Leave the bus signal holding the value the per-bit path would
-    // hold after bit driven-1, so the settle-time refresh_trace()
-    // emits (or suppresses) exactly the same change.
-    bus_trace_->restore_value(from_bit((*run_.bits)[driven - 1]));
-    if (sim::Tracer* tracer = env().tracer()) tracer->end_hold();
+    // Leave the traced bus value where the per-bit path would hold it
+    // after bit driven-1, so the settle-time refresh_trace() reports (or
+    // skips) exactly the same change.
+    bus_value_ = from_bit((*run_.bits)[driven - 1]);
+    if (sim::VcdTracer* tracer = env().tracer()) tracer->end_hold();
     trace_hold_ = false;
   }
   bits_driven_ += driven;
@@ -483,10 +479,8 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
   w.u64(collision_samples_);
   w.u64(bits_burst_);
   w.u64(burst_fallbacks_);
-  w.b(bus_trace_ != nullptr);
-  if (bus_trace_ != nullptr) {
-    w.u8(static_cast<std::uint8_t>(bus_trace_->read()));
-  }
+  w.b(bus_trace_.has_value());
+  if (bus_trace_) w.u8(static_cast<std::uint8_t>(bus_value_));
   w.end_section();
 }
 
@@ -495,7 +489,7 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
   // tracer hold belonging to the state being overwritten.
   if (env().rng_guard() == this) env().set_rng_guard(nullptr);
   if (trace_hold_) {
-    if (sim::Tracer* tracer = env().tracer()) tracer->end_hold();
+    if (sim::VcdTracer* tracer = env().tracer()) tracer->end_hold();
     trace_hold_ = false;
   }
   r.enter_section(sim::snapshot_tag("CHAN"));
@@ -536,10 +530,10 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
   bits_burst_ = r.u64();
   burst_fallbacks_ = r.u64();
   const bool had_trace = r.b();
-  if (had_trace != (bus_trace_ != nullptr)) {
+  if (had_trace != bus_trace_.has_value()) {
     throw sim::SnapshotError("NoisyChannel: bus-trace presence mismatch");
   }
-  if (had_trace) bus_trace_->restore_value(static_cast<Logic4>(r.u8()));
+  if (had_trace) bus_value_ = static_cast<Logic4>(r.u8());
   r.leave_section();
 }
 
@@ -566,7 +560,11 @@ void NoisyChannel::refresh_trace() {
   if (!bus_trace_) return;
   Logic4 acc = Logic4::kZ;
   for (const Port& p : ports_) acc = resolve(acc, p.value);
-  bus_trace_->write(acc);
+  if (acc == bus_value_) return;
+  bus_value_ = acc;
+  if (sim::VcdTracer* tracer = env().tracer()) {
+    tracer->change(*bus_trace_, to_char(acc));
+  }
 }
 
 }  // namespace btsc::phy

@@ -23,8 +23,8 @@
 // per microsecond, and notifies registered Listeners (the radios) when
 // the medium changes so idle receivers can stop sampling entirely.
 // A run is only accepted when it is provably equivalent to the per-bit
-// path -- no RF delay, a silent medium, and (when tracing) a tracer
-// that accepts backfill -- and it falls back to per-bit scheduling the
+// path -- no RF delay and a silent medium -- and it falls back to
+// per-bit scheduling the
 // moment a second transmitter drives, the BER changes, or the
 // transmitter aborts.
 //
@@ -43,7 +43,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,9 +51,9 @@
 #include "sim/bitvector.hpp"
 #include "sim/environment.hpp"
 #include "sim/module.hpp"
-#include "sim/signal.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
+#include "sim/tracer.hpp"
 
 namespace btsc::phy {
 
@@ -160,8 +160,8 @@ class NoisyChannel final : public sim::Module,
   /// Registers the whole of `bits` as one uncontended run from `port` on
   /// `freq`, one bit per `period` starting now. Returns false -- and
   /// changes nothing -- when the run cannot be batched (burst transport
-  /// off, RF delay, a tracer without backfill support, or a non-silent
-  /// medium); the caller must then drive per-bit. `bits` must stay alive
+  /// off, RF delay, or a non-silent medium); the caller must then drive
+  /// per-bit. `bits` must stay alive
   /// and unchanged until the run ends. On success the first bit is on
   /// the medium immediately (as a per-bit drive would be). BER > 0 runs
   /// pre-apply noise as an error mask drawn in per-bit order; receivers
@@ -298,7 +298,7 @@ class NoisyChannel final : public sim::Module,
   std::size_t mask_flips_before(std::size_t k) const;
 
   /// Emits the net bus transitions of run bits [backfilled_, k) at their
-  /// per-bit instants (Tracer::change_at under the open hold).
+  /// per-bit instants (VcdTracer::change_at under the open hold).
   void backfill_to(std::size_t k);
 
   /// Bits of the active run already on the air, honouring the event
@@ -354,8 +354,10 @@ class NoisyChannel final : public sim::Module,
   std::uint64_t bits_burst_ = 0;
   std::uint64_t burst_fallbacks_ = 0;
   // Traced view of the fully-resolved wire (all frequencies), matching the
-  // "channel" net of the paper's figure.
-  std::unique_ptr<sim::Signal<Logic4>> bus_trace_;
+  // "channel" net of the paper's figure: its trace id (set when traced)
+  // and current value.
+  std::optional<sim::TraceId> bus_trace_;
+  Logic4 bus_value_ = Logic4::kZ;
 };
 
 }  // namespace btsc::phy

@@ -19,9 +19,11 @@ constexpr std::size_t kProbeHorizon = std::size_t{1} << 30;
 Radio::Radio(sim::Environment& env, std::string name, NoisyChannel& channel)
     : Module(env, std::move(name)),
       channel_(channel),
-      port_(channel.attach(this->name())),
-      enable_tx_(env, child_name("enable_tx_RF")),
-      enable_rx_(env, child_name("enable_rx_RF")) {
+      port_(channel.attach(this->name())) {
+  if (sim::VcdTracer* t = env.tracer()) {
+    tx_trace_ = t->declare(child_name("enable_tx_RF"), '0');
+    rx_trace_ = t->declare(child_name("enable_rx_RF"), '0');
+  }
   channel_.set_listener(port_, this);
   env.register_rearm(this->name() + ".radio", this, this);
 }
@@ -47,7 +49,6 @@ void Radio::transmit(int freq, sim::BitVector bits,
   tx_pos_ = 0;
   tx_start_ = env().now();
   tx_done_ = std::move(done);
-  enable_tx_.write(true);
   account_tx(true);
   if (channel_.begin_burst(port_, freq, tx_bits_, kBitPeriod)) {
     // The whole packet rides as one channel run: a single end-of-packet
@@ -86,7 +87,6 @@ void Radio::tx_finish_burst() {
 
 void Radio::tx_complete() {
   tx_busy_ = false;
-  enable_tx_.write(false);
   account_tx(false);
   if (tx_done_) {
     // Move out first: the callback may start another transmission.
@@ -125,7 +125,6 @@ void Radio::abort_tx() {
   tx_timer_ = sim::kInvalidTimer;
   tx_busy_ = false;
   tx_done_ = nullptr;
-  enable_tx_.write(false);
   account_tx(false);
 }
 
@@ -150,7 +149,6 @@ void Radio::enable_rx(int freq) {
   }
   rx_freq_ = freq;
   rx_on_ = true;
-  enable_rx_.write(true);
   account_rx(true);
   // First sample at grid + 250 ns: transmissions start on integer or
   // half-microsecond boundaries (even/odd half slots), so a quarter-bit
@@ -173,7 +171,6 @@ void Radio::disable_rx() {
   rx_mode_ = RxMode::kOff;
   cancel_rx_timer();
   channel_.set_listening(port_, -1);
-  enable_rx_.write(false);
   account_rx(false);
 }
 
@@ -375,6 +372,7 @@ void Radio::account_tx(bool on) {
   } else {
     tx_accum_ += env().now() - tx_since_;
   }
+  trace_enable(tx_trace_, on);
 }
 
 void Radio::account_rx(bool on) {
@@ -383,6 +381,12 @@ void Radio::account_rx(bool on) {
   } else {
     rx_accum_ += env().now() - rx_since_;
   }
+  trace_enable(rx_trace_, on);
+}
+
+void Radio::trace_enable(const std::optional<sim::TraceId>& id, bool on) {
+  if (!id) return;
+  if (sim::VcdTracer* t = env().tracer()) t->change(*id, on ? '1' : '0');
 }
 
 sim::SimTime Radio::tx_on_time() const {
@@ -426,8 +430,6 @@ void Radio::save_state(sim::SnapshotWriter& w) const {
   w.time(rx_anchor_);
   w.u64(rx_consumed_);
   w.u64(rx_barrier_index_);
-  w.b(enable_tx_.read());
-  w.b(enable_rx_.read());
   w.time(tx_accum_);
   w.time(rx_accum_);
   w.time(tx_since_);
@@ -451,8 +453,6 @@ void Radio::restore_state(sim::SnapshotReader& r) {
   rx_anchor_ = r.time();
   rx_consumed_ = r.u64();
   rx_barrier_index_ = r.u64();
-  enable_tx_.restore_value(r.b());
-  enable_rx_.restore_value(r.b());
   tx_accum_ = r.time();
   rx_accum_ = r.time();
   tx_since_ = r.time();

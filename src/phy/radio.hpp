@@ -1,7 +1,8 @@
 // Radio front-end model for one Bluetooth device.
 //
 // Owns the device's port on the NoisyChannel and the two RF enable lines
-// the paper plots in its waveform figures (enable_tx_RF, enable_rx_RF).
+// the paper plots in its waveform figures (enable_tx_RF, enable_rx_RF):
+// TX busy and RX on, traced when a tracer is attached at construction.
 // The Bluetooth protocol switches the RF blocks on only when necessary;
 // the time integrals of these enables are exactly the "RF activity"
 // metric of the paper's Figs. 10-12 and the input to the power model.
@@ -38,15 +39,16 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "phy/channel.hpp"
 #include "phy/logic4.hpp"
 #include "sim/bitvector.hpp"
 #include "sim/module.hpp"
-#include "sim/signal.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
+#include "sim/tracer.hpp"
 #include "sim/unique_function.hpp"
 
 namespace btsc::phy {
@@ -138,10 +140,6 @@ class Radio final : public sim::Module,
   /// mid-window): re-derive the side-effect barrier.
   void rx_state_changed();
 
-  // ---- RF enable lines (traced; the paper's waveform signals) ----
-  sim::BoolSignal& enable_tx_rf() { return enable_tx_; }
-  sim::BoolSignal& enable_rx_rf() { return enable_rx_; }
-
   // ---- activity accounting (Figs. 10-12) ----
 
   /// Total time the TX/RX chains were enabled since the last reset,
@@ -165,8 +163,8 @@ class Radio final : public sim::Module,
 
   // ---- checkpointing ----
 
-  /// Saves/restores TX/RX state, the enable lines, the activity
-  /// accumulators and the bit counters. A transmission with a `done`
+  /// Saves/restores TX/RX state, the activity accumulators and the bit
+  /// counters. A transmission with a `done`
   /// callback in flight is not checkpointable (the closure cannot be
   /// serialized; model code never passes one) -- save_state throws.
   /// Restore re-links an in-flight burst run's bits into the channel.
@@ -215,8 +213,11 @@ class Radio final : public sim::Module,
   std::int64_t run_index_at(std::uint64_t k,
                             const NoisyChannel::RxMedium& m) const;
   bool burst_capable() const;
+  /// An RF enable line switched: starts or closes its activity interval
+  /// and reports the edge to the tracer.
   void account_tx(bool on);
   void account_rx(bool on);
+  void trace_enable(const std::optional<sim::TraceId>& id, bool on);
 
   NoisyChannel& channel_;
   PortId port_;
@@ -245,9 +246,9 @@ class Radio final : public sim::Module,
   /// always goes through the full path inside its own event.
   std::uint64_t rx_barrier_index_ = 0;
 
-  // Enable lines (traced)
-  sim::BoolSignal enable_tx_;
-  sim::BoolSignal enable_rx_;
+  // Trace ids of enable_tx_RF / enable_rx_RF (set when traced).
+  std::optional<sim::TraceId> tx_trace_;
+  std::optional<sim::TraceId> rx_trace_;
 
   // Activity accounting
   sim::SimTime tx_accum_ = sim::SimTime::zero();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/signal.hpp"
 #include "sim/snapshot.hpp"
 
 namespace btsc::sim {
@@ -29,101 +28,40 @@ Environment::~Environment() {
   if (t_scope_tally != nullptr) t_scope_tally->add(s);
 }
 
-void Environment::make_runnable(Process& p) {
-  if (p.queued_) return;
-  p.queued_ = true;
-  next_runnable_.push_back(&p);
-}
-
-void Environment::request_update(SignalBase& s) { update_queue_.push_back(&s); }
-
-// ---------------------------------------------------------------------------
-// Processes, events, delta cycles (the timed queue itself is
-// sim::TimerQueue; its hot path is inline in the headers)
-// ---------------------------------------------------------------------------
-
-Process& Environment::register_process(std::string name, UniqueFunction fn) {
-  processes_.push_back(
-      std::make_unique<Process>(std::move(name), std::move(fn)));
-  return *processes_.back();
-}
-
-void Environment::trigger(Event& ev) {
-  for (Process* p : ev.waiters_) make_runnable(*p);
-}
-
-void Event::notify_delta() {
-  for (Process* p : waiters_) env_->make_runnable(*p);
-}
-
-void Event::notify(SimTime delay) {
-  env_->notify_timed(*this, env_->now() + delay);
-}
-
-void Environment::run_delta() {
-  ++delta_count_;
-  runnable_.swap(next_runnable_);
-  next_runnable_.clear();
-  // Evaluate phase.
-  dispatching_ = true;
-  for (Process* p : runnable_) {
-    p->queued_ = false;
-    ++activations_;
-    p->run();
-  }
-  dispatching_ = false;
-  runnable_.clear();
-  // Update phase. commit() notifies value-changed events, which enqueue
-  // into next_runnable_ for the following delta.
-  for (SignalBase* s : update_queue_) s->commit();
-  update_queue_.clear();
-}
-
-void Environment::commit_updates() {
-  for (SignalBase* s : update_queue_) s->commit();
-  update_queue_.clear();
-}
-
-void Environment::settle() {
-  while (!next_runnable_.empty() || !update_queue_.empty()) run_delta();
-}
-
-bool Environment::idle() const {
-  return next_runnable_.empty() && update_queue_.empty() && queue_.empty();
-}
-
 void Environment::run_until(SimTime until) {
-  settle();
+  UniqueFunction fn;
   while (!queue_.empty()) {
     const SimTime t = queue_.next_time();
     if (t > until) break;
     now_ = t;
+    dispatching_ = true;
     // Pop-and-dispatch every entry due at this instant in (when, seq)
     // order. Callbacks may schedule more work at the same instant (their
     // seqs are larger than every live one, so they pop last) and may
     // cancel same-instant siblings (a canceled entry leaves the queue
-    // before its turn). pop_due moves the payload out and releases the
+    // before its turn). pop_due moves the callback out and releases the
     // slot before dispatch: the callback may schedule more timers, and
     // its slot must be reusable (and its id stale) while it runs.
-    Event* ev = nullptr;
-    UniqueFunction fn;
-    while (queue_.pop_due(t, ev, fn)) {
-      if (ev != nullptr) {
-        trigger(*ev);
-      } else {
-        dispatching_ = true;
-        fn();
-        dispatching_ = false;
-        fn.reset();
-      }
+    while (queue_.pop_due(t, fn)) {
+      fn();
+      fn.reset();
     }
-    // The timed callbacks above form the evaluate phase of the first delta
-    // at this instant; commit their signal writes before any process woken
-    // by notify_delta() runs, per the evaluate/update contract.
-    commit_updates();
-    settle();
+    // The end-of-instant round; zero-delay timers it schedules bring the
+    // loop back to this instant.
+    if (!round_.empty()) run_round();
+    dispatching_ = false;
   }
   if (now_ < until) now_ = until;
+}
+
+void Environment::run_round() {
+  ++delta_count_;
+  // Indexing (not iterators): work queued by the round itself joins it.
+  for (std::size_t i = 0; i < round_.size(); ++i) {
+    ++activations_;
+    round_[i]->end_of_instant();
+  }
+  round_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -131,9 +69,9 @@ void Environment::run_until(SimTime until) {
 // ---------------------------------------------------------------------------
 
 void Environment::require_settled(const char* verb) const {
-  if (dispatching_ || !next_runnable_.empty() || !update_queue_.empty()) {
+  if (dispatching_) {
     throw SnapshotError(std::string("environment: cannot ") + verb +
-                        " at an unsettled instant (delta work pending)");
+                        " inside dispatch");
   }
 }
 
@@ -180,11 +118,7 @@ void Environment::save_state(SnapshotWriter& w) const {
   descs.reserve(queue_.live());
   queue_.for_each_live([&](const void* owner, std::uint16_t kind,
                            std::uint64_t payload, SimTime when,
-                           std::uint64_t seq, bool is_event) {
-    if (is_event) {
-      throw SnapshotError(
-          "environment: timed event notification live at checkpoint");
-    }
+                           std::uint64_t seq) {
     if (kind == 0) {
       throw SnapshotError(
           "environment: opaque (untagged) timer live at checkpoint");

@@ -1,29 +1,35 @@
-// The simulation environment: scheduler, timed queue and kernel services.
+// The simulation environment: timed queue, end-of-instant round and
+// kernel services.
 //
-// Scheduling follows the SystemC evaluate/update delta-cycle contract:
+// Scheduling
+// ----------
+// The kernel has one scheduling primitive, the timed one-shot callback,
+// plus one narrow hook. run_until() claims the earliest pending instant
+// t, then:
 //
-//   1. evaluate : run every runnable process to completion. Processes may
-//                 write signals (queueing update requests), notify events
-//                 and schedule timed callbacks.
-//   2. update   : commit pending signal writes; signals whose value
-//                 actually changed notify their value-changed events.
-//   3. delta    : processes made runnable by step 2 (or by notify_delta in
-//                 step 1) form the next evaluate set at the *same* time.
-//   4. advance  : when no delta work remains, claim the earliest timed
-//                 instant and repeat.
+//   1. timers : pops and runs every timer due at t in (when, seq) order,
+//               including zero-delay timers those callbacks schedule;
+//   2. round  : runs the end-of-instant round -- every InstantEnd queued
+//               at t (queue_end_of_instant), in queue order;
+//   3. repeat : if the round scheduled zero-delay timers, they run next
+//               (step 1 again at the same t); otherwise time advances.
+//
+// The round is how the native clocks deliver their ticks (see
+// baseband/bt_clock.hpp): a tick's subscriber runs after every timer
+// due at its instant, so it observes the instant's settled state. Both
+// steps run with dispatching() true.
 //
 // Timed queue
 // -----------
-// All timed work (one-shot callbacks and timed event notifications) lives
-// in a sim::TimerQueue (sim/timer_queue.hpp): a 4-ary min-heap over a
-// slot/generation slab. Dispatch follows the (when, seq) total order --
-// seq is a global schedule counter, so same-time entries fire in FIFO
-// order, the determinism tiebreak every model relies on. Cancellation is
-// true removal: a canceled timer leaves no dead entry behind, so idle()
-// is exact, run_until() never visits the timestamp of a fully-canceled
-// instant, and queue memory is reclaimed immediately. TimerId handles
-// encode (slot, generation); a stale handle -- cancel after fire -- is
-// recognised and ignored.
+// All timed work lives in a sim::TimerQueue (sim/timer_queue.hpp): a
+// 4-ary min-heap over a slot/generation slab. Dispatch follows the
+// (when, seq) total order -- seq is a global schedule counter, so
+// same-time entries fire in FIFO order, the determinism tiebreak every
+// model relies on. Cancellation is true removal: a canceled timer leaves
+// no dead entry behind, so idle() is exact, run_until() never visits the
+// timestamp of a fully-canceled instant, and queue memory is reclaimed
+// immediately. TimerId handles encode (slot, generation); a stale handle
+// -- cancel after fire -- is recognised and ignored.
 //
 // Callbacks are sim::UniqueFunction (sim/unique_function.hpp): move-only
 // with a 48-byte inline buffer, so steady-state scheduling performs zero
@@ -42,12 +48,9 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/event.hpp"
-#include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "sim/timer_queue.hpp"
@@ -56,10 +59,19 @@
 namespace btsc::sim {
 
 class RearmHandler;
-class SignalBase;
 class SnapshotReader;
 class SnapshotWriter;
-class Tracer;
+class VcdTracer;
+
+/// Work queued for the end-of-instant round (see the header comment and
+/// Environment::queue_end_of_instant).
+class InstantEnd {
+ public:
+  virtual void end_of_instant() = 0;
+
+ protected:
+  ~InstantEnd() = default;
+};
 
 /// Hook fired immediately before any model-level draw from the
 /// environment RNG (draw_bernoulli / draw_uniform / notify_rng_draw).
@@ -88,28 +100,28 @@ class Environment {
 
   /// Runs until the timed queue is exhausted or `until` is reached
   /// (whichever comes first). Time ends up at min(until, last event).
+  /// Every instant it claims is finished -- timers and round -- before
+  /// it returns, so nothing is ever pending at now() between runs
+  /// except timers scheduled there since.
   void run_until(SimTime until);
 
   /// Runs for `duration` from the current time.
   void run(SimTime duration) { run_until(now_ + duration); }
 
-  /// Executes delta cycles at the current time until none remain, without
-  /// advancing time. Used by tests and by models that need settled signals.
-  void settle();
-
   /// True if nothing remains to execute. Canceled timers are physically
   /// removed from the queue, so they never hold this false.
-  bool idle() const;
+  bool idle() const { return queue_.empty(); }
 
-  // ---- process / event plumbing (used by Event, Signal, Module) ----
-  void make_runnable(Process& p);
-  void request_update(SignalBase& s);
-  void notify_timed(Event& ev, SimTime abs_time) {
-    assert(abs_time >= now_);
-    queue_.schedule_event(abs_time, ev);
+  /// Queues `w` for the end-of-instant round at now(): its
+  /// end_of_instant() runs after every timer due at this instant has
+  /// fired, in queue order. Only valid while dispatching (a timer
+  /// callback queues it); `w` must stay alive until it has run.
+  void queue_end_of_instant(InstantEnd& w) {
+    assert(dispatching_);
+    round_.push_back(&w);
   }
 
-  /// Schedules a one-shot callback at now()+delay (evaluate phase).
+  /// Schedules a one-shot callback at now()+delay.
   /// Returns a TimerId that can be passed to cancel(). `owner` is an
   /// optional tag for bulk cancellation via cancel_owned(); it is never
   /// dereferenced. The callback becomes a move-only UniqueFunction,
@@ -152,12 +164,6 @@ class Environment {
   /// canceled.
   bool pending(TimerId id) const { return queue_.pending(id); }
 
-  /// Registers a process owned by the caller's module; the environment
-  /// stores it so sensitivity lists can reference stable addresses. The
-  /// behaviour is a move-only UniqueFunction -- process bootstrap never
-  /// copies a capture.
-  Process& register_process(std::string name, UniqueFunction fn);
-
   // ---- services ----
   Rng& rng() { return rng_; }
 
@@ -193,11 +199,11 @@ class Environment {
 
   /// Attaches a VCD tracer (nullptr detaches). The environment does not
   /// own the tracer; it must outlive the simulation.
-  void set_tracer(Tracer* t) { tracer_ = t; }
-  Tracer* tracer() const { return tracer_; }
+  void set_tracer(VcdTracer* t) { tracer_ = t; }
+  VcdTracer* tracer() const { return tracer_; }
 
-  /// True while the kernel is executing a timed callback or a process
-  /// (i.e. inside event dispatch). Model code uses this to decide
+  /// True while the kernel is dispatching an instant: running its timed
+  /// callbacks or its end-of-instant round. Model code uses this to decide
   /// whether an instant that equals now() has already been claimed by
   /// the queue: outside dispatch (between run() calls) every entry at
   /// <= now() has fired; inside dispatch, same-instant entries may still
@@ -220,10 +226,9 @@ class Environment {
   /// Serializes the kernel state: now, the RNG stream, and every
   /// pending timer as a re-armable (owner-name, kind, payload, when,
   /// seq) descriptor, in seq order, plus the seq allocator. Must be
-  /// called at a settled instant (between run() calls); throws
-  /// SnapshotError if delta work is pending, or if any live timer is an
-  /// event notification, is untagged (kind 0), or has no registered
-  /// owner.
+  /// called between run() calls; throws SnapshotError from inside
+  /// dispatch, or if any live timer is untagged (kind 0) or has no
+  /// registered owner.
   void save_state(SnapshotWriter& w) const;
 
   /// Counterpart of save_state() into a freshly constructed twin:
@@ -235,6 +240,7 @@ class Environment {
   void restore_state(SnapshotReader& r);
 
   // ---- diagnostics ----
+  /// End-of-instant rounds run, and InstantEnd calls made in them.
   std::uint64_t delta_count() const { return delta_count_; }
   std::uint64_t process_activations() const { return activations_; }
 
@@ -243,8 +249,7 @@ class Environment {
   /// work (the old kernel's dead-entry population is structurally zero;
   /// `canceled` counts the entries that would have rotted there).
   struct SchedulerStats {
-    /// Timed-queue inserts: one-shot callbacks plus timed event
-    /// notifications.
+    /// Timed-queue inserts.
     std::uint64_t scheduled = 0;
     /// Entries popped and dispatched at their instant.
     std::uint64_t fired = 0;
@@ -304,9 +309,7 @@ class Environment {
   };
 
  private:
-  void run_delta();
-  void commit_updates();
-  void trigger(Event& ev);
+  void run_round();
   static std::uint64_t heap_depth(std::uint64_t n);
   void require_settled(const char* verb) const;
 
@@ -319,15 +322,13 @@ class Environment {
   const RearmEntry* find_rearm(const std::string& name) const;
 
   SimTime now_ = SimTime::zero();
-  std::vector<Process*> runnable_;
-  std::vector<Process*> next_runnable_;
-  std::vector<SignalBase*> update_queue_;
   TimerQueue queue_;
+  /// The end-of-instant round queued at now_; empty between instants.
+  std::vector<InstantEnd*> round_;
   std::vector<RearmEntry> rearm_entries_;
-  std::vector<std::unique_ptr<Process>> processes_;
   Rng rng_;
   RngGuard* rng_guard_ = nullptr;
-  Tracer* tracer_ = nullptr;
+  VcdTracer* tracer_ = nullptr;
   bool dispatching_ = false;
   std::uint64_t delta_count_ = 0;
   std::uint64_t activations_ = 0;

@@ -1,18 +1,14 @@
-// Module: named container of processes and signals, mirroring sc_module.
+// Module: a named model component bound to an environment, mirroring
+// sc_module's naming role.
 //
-// Modules exist to give processes and signals hierarchical names (visible
-// in traces and diagnostics) and a uniform way to register method
-// processes with static sensitivity.
+// Modules exist to give their children, traced values, timer rearm
+// registrations and diagnostics hierarchical names.
 #pragma once
 
-#include <initializer_list>
 #include <string>
 #include <utility>
 
 #include "sim/environment.hpp"
-#include "sim/event.hpp"
-#include "sim/process.hpp"
-#include "sim/unique_function.hpp"
 
 namespace btsc::sim {
 
@@ -30,19 +26,9 @@ class Module {
   const Environment& env() const { return env_; }
 
  protected:
-  /// Builds "<module>.<leaf>" names for child signals/events.
+  /// Builds "<module>.<leaf>" names for child modules and traced values.
   std::string child_name(const std::string& leaf) const {
     return name_ + "." + leaf;
-  }
-
-  /// Registers a run-to-completion method process, statically sensitive to
-  /// the given events. Additional sensitivity can be added later via
-  /// Event::add_sensitive().
-  Process& method(const std::string& leaf, UniqueFunction fn,
-                  std::initializer_list<Event*> sensitivity = {}) {
-    Process& p = env_.register_process(child_name(leaf), std::move(fn));
-    for (Event* ev : sensitivity) ev->add_sensitive(p);
-    return p;
   }
 
  private:

@@ -1,10 +1,10 @@
 // Snapshot: versioned tagged byte streams for checkpointing a simulation.
 //
 // A snapshot is the serialized MUTABLE state of a simulation at a settled
-// instant (between run() calls, no delta work pending). Restoring never
-// rebuilds the object graph: the caller constructs the scenario through
-// its ordinary deterministic construction path and then overwrites every
-// mutable field from the byte stream. Pointers therefore never enter a
+// instant (between run() calls). Restoring never rebuilds the object
+// graph: the caller constructs the scenario through its ordinary
+// deterministic construction path and then overwrites every mutable
+// field from the byte stream. Pointers therefore never enter a
 // snapshot -- connections between modules are structural and re-created
 // by construction; pending timers are saved as re-armable descriptors
 // (see Environment::save_state) rather than as closures.
@@ -46,10 +46,11 @@
 namespace btsc::sim {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x42545343u;    // "BTSC"
-/// Version 4 made "CLKN" the demand-driven clock's (value, next grid
-/// instant, delivered ticks) and dropped four dead fields from "LC  ";
-/// older images are rejected.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// Version 5 dropped four fixed constants (carrier-sense window, train
+/// repeats, whitening, hold early wake) from "LC  " and the RF enable
+/// lines (mirrors of TX busy / RX on) from "RADI"; older images are
+/// rejected.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// FNV-1a 64-bit hash of `n` bytes; the snapshot integrity checksum.
 inline std::uint64_t snapshot_checksum(const std::uint8_t* p, std::size_t n) {

@@ -37,8 +37,6 @@
 
 namespace btsc::sim {
 
-class Event;
-
 /// Handle for a scheduled one-shot callback, usable to cancel it.
 /// Opaque encoding of (slab slot, generation); never 0 for a live timer.
 using TimerId = std::uint64_t;
@@ -69,22 +67,9 @@ class TimerQueue {
     n.owner = owner;
     n.kind = kind;
     n.payload = payload;
-    n.event = nullptr;
     n.fn.emplace(std::forward<F>(fn));
     push(when, slot);
     return make_id(slot, n.gen);
-  }
-
-  /// Schedules a timed notification of `ev` (no TimerId is minted;
-  /// event notifications are not individually cancelable).
-  void schedule_event(SimTime when, Event& ev) {
-    const std::uint32_t slot = acquire_slot();
-    Node& n = nodes_[slot];
-    n.owner = nullptr;
-    n.kind = 0;
-    n.payload = 0;
-    n.event = &ev;
-    push(when, slot);
   }
 
   /// Removes the entry in O(log n). Returns false -- and counts a
@@ -119,17 +104,15 @@ class TimerQueue {
   }
 
   /// Removes the minimum-seq entry due exactly at `t` and moves its
-  /// payload out (exactly one of `ev`/`fn` is set), releasing its slot
-  /// before the caller dispatches -- the callback may reschedule into
-  /// the freed slot and its id goes stale while it runs. Returns false
-  /// when nothing (remains) due at `t`.
-  bool pop_due(SimTime t, Event*& ev, UniqueFunction& fn) {
+  /// callback out, releasing its slot before the caller dispatches --
+  /// the callback may reschedule into the freed slot and its id goes
+  /// stale while it runs. Returns false when nothing (remains) due at
+  /// `t`.
+  bool pop_due(SimTime t, UniqueFunction& fn) {
     if (heap_.empty() || heap_[0].when != t) return false;
     const std::uint32_t slot = heap_[0].slot;
     heap_remove_at(0);
-    Node& n = nodes_[slot];
-    ev = n.event;
-    if (ev == nullptr) fn = std::move(n.fn);
+    fn = std::move(nodes_[slot].fn);
     release_slot(slot);
     ++fired_;
     return true;
@@ -144,15 +127,14 @@ class TimerQueue {
   std::uint64_t next_seq() const { return next_seq_; }
   void set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
 
-  /// Visits every live entry as
-  ///   f(owner, kind, payload, when, seq, is_event)
-  /// in slab order (callers sort by seq for a canonical ordering).
+  /// Visits every live entry as f(owner, kind, payload, when, seq) in
+  /// slab order (callers sort by seq for a canonical ordering).
   template <typename F>
   void for_each_live(F&& f) const {
     for (const Node& n : nodes_) {
       if (n.pos == kFree) continue;
       const HeapEntry& e = heap_[n.pos];
-      f(n.owner, n.kind, n.payload, e.when, e.seq, n.event != nullptr);
+      f(n.owner, n.kind, n.payload, e.when, e.seq);
     }
   }
 
@@ -191,7 +173,6 @@ class TimerQueue {
     std::uint16_t kind = 0;  // re-arm descriptor kind (0 = opaque)
     const void* owner = nullptr;
     std::uint64_t payload = 0;  // re-arm descriptor payload
-    Event* event = nullptr;     // exactly one of event/fn is set
     UniqueFunction fn;
   };
 
@@ -229,7 +210,6 @@ class TimerQueue {
     ++n.gen;  // retire every outstanding TimerId for this slot
     n.pos = kFree;
     n.fn.reset();  // destroy the captured state now, not at slot reuse
-    n.event = nullptr;
     n.next_free = free_head_;
     free_head_ = slot;
   }
@@ -239,8 +219,7 @@ class TimerQueue {
     if (lo == 0 || lo > nodes_.size()) return nullptr;
     const Node& n = nodes_[lo - 1];
     if (n.gen != static_cast<std::uint32_t>(id >> 32)) return nullptr;
-    assert(n.pos != kFree);      // live generation => queued
-    assert(n.event == nullptr);  // ids only minted for callbacks
+    assert(n.pos != kFree);  // live generation => queued
     return &n;
   }
 

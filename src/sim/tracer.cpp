@@ -34,14 +34,13 @@ std::string VcdTracer::vcd_id(TraceId id) {
   return s;
 }
 
-TraceId VcdTracer::declare(const std::string& name, unsigned width,
-                           const std::string& initial) {
+TraceId VcdTracer::declare(const std::string& name, char initial) {
   if (started_) {
     throw std::logic_error(
         "VcdTracer: declare() after tracing started (construct all modules "
         "before running)");
   }
-  vars_.push_back({name, width, initial});
+  vars_.push_back({name, initial});
   return static_cast<TraceId>(vars_.size() - 1);
 }
 
@@ -52,19 +51,14 @@ void VcdTracer::write_header() {
        << "$scope module top $end\n";
   for (TraceId i = 0; i < vars_.size(); ++i) {
     // Flatten hierarchical names: GTKWave accepts '.' inside identifiers.
-    out_ << "$var wire " << vars_[i].width << ' ' << vcd_id(i) << ' '
-         << vars_[i].name << " $end\n";
+    out_ << "$var wire 1 " << vcd_id(i) << ' ' << vars_[i].name
+         << " $end\n";
   }
   out_ << "$upscope $end\n$enddefinitions $end\n";
-  // Time-zero values for all signals that provided one.
+  // Time-zero values.
   out_ << "$dumpvars\n";
   for (TraceId i = 0; i < vars_.size(); ++i) {
-    if (vars_[i].last.empty()) continue;
-    if (vars_[i].width == 1) {
-      out_ << vars_[i].last << vcd_id(i) << '\n';
-    } else {
-      out_ << 'b' << vars_[i].last << ' ' << vcd_id(i) << '\n';
-    }
+    out_ << vars_[i].last << vcd_id(i) << '\n';
   }
   out_ << "$end\n";
   header_written_ = true;
@@ -91,26 +85,26 @@ void VcdTracer::flush_before(std::uint64_t limit_ns) {
   if (!header_written_) write_header();
   for (std::size_t i = 0; i < n; ++i) {
     const Pending& p = pending_[i];
-    Var& var = vars_.at(p.id);
-    // Duplicate suppression in canonical order, so it matches the
-    // per-bit reference no matter how the changes were submitted.
+    // Only the last change of a var at an instant counts. A (time, id)
+    // group never straddles the limit, so its last entry is in range.
+    if (i + 1 < n && pending_[i + 1].time_ns == p.time_ns &&
+        pending_[i + 1].id == p.id) {
+      continue;
+    }
+    Var& var = vars_[p.id];
     if (var.last == p.value) continue;
     var.last = p.value;
     if (p.time_ns != last_ts_) {
       out_ << '#' << p.time_ns << '\n';
       last_ts_ = p.time_ns;
     }
-    if (var.width == 1) {
-      out_ << p.value << vcd_id(p.id) << '\n';
-    } else {
-      out_ << 'b' << p.value << ' ' << vcd_id(p.id) << '\n';
-    }
+    out_ << p.value << vcd_id(p.id) << '\n';
   }
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
-void VcdTracer::change(TraceId id, const std::string& value) {
+void VcdTracer::change(TraceId id, char value) {
   assert(id < vars_.size() && "VcdTracer: change on undeclared id");
   started_ = true;
   pending_.push_back({env_.now().as_ns(), id, value, pending_seq_++});
@@ -119,8 +113,7 @@ void VcdTracer::change(TraceId id, const std::string& value) {
   if (holds_ == 0) flush_before(env_.now().as_ns());
 }
 
-void VcdTracer::change_at(TraceId id, const std::string& value,
-                          std::uint64_t time_ns) {
+void VcdTracer::change_at(TraceId id, char value, std::uint64_t time_ns) {
   assert(id < vars_.size() && "VcdTracer: change_at on undeclared id");
   assert(time_ns <= env_.now().as_ns() && "VcdTracer: backfill in the future");
   started_ = true;
@@ -132,18 +125,6 @@ void VcdTracer::begin_hold() { ++holds_; }
 void VcdTracer::end_hold() {
   assert(holds_ > 0 && "VcdTracer: unbalanced end_hold");
   if (--holds_ == 0) flush_before(env_.now().as_ns());
-}
-
-TraceId RecordingTracer::declare(const std::string& name, unsigned,
-                                 const std::string& initial) {
-  names_.push_back(name);
-  const auto id = static_cast<TraceId>(names_.size() - 1);
-  if (!initial.empty()) records_.push_back({env_.now().as_ns(), name, initial});
-  return id;
-}
-
-void RecordingTracer::change(TraceId id, const std::string& value) {
-  records_.push_back({env_.now().as_ns(), names_.at(id), value});
 }
 
 }  // namespace btsc::sim

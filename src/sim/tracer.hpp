@@ -1,23 +1,30 @@
 // Waveform tracing (VCD).
 //
-// Signals register themselves with the tracer; every committed value
-// change is recorded with the current simulation time. The output is a
-// standard IEEE 1364 VCD file loadable in GTKWave -- this is how the
-// repository reproduces the waveform figures (Fig. 5 and Fig. 9) of the
-// paper.
+// Models that trace a value (the radios' RF enable lines, the channel's
+// bus) declare it once and report every change with the current
+// simulation time. The output is a standard IEEE 1364 VCD file loadable
+// in GTKWave -- this is how the repository reproduces the waveform
+// figures (Fig. 5 and Fig. 9) of the paper. Every traced value is a VCD
+// scalar, so a value is one character from {0, 1, z, x}.
+//
+// Buffering and canonical order
+// -----------------------------
+// VcdTracer buffers changes and emits them in a canonical order --
+// sorted by (time, id) -- once simulation time has moved past them.
+// Among the changes of one var at one instant only the last counts, and
+// it is emitted only if it differs from the var's previous emitted
+// value: a value that is toggled and toggled back within an instant
+// leaves no trace.
 //
 // Backfill
 // --------
 // The burst transport (phy::NoisyChannel) drives a whole packet as one
 // run instead of one event per bit, so the traced bus transitions for
 // the run's bits are generated after the fact, time-stamped from the
-// run's geometry (change_at). To keep the file byte-identical to the
-// per-bit reference, VcdTracer buffers changes and emits them in a
-// canonical order -- sorted by (time, id), stable within a pair -- and
-// a producer with backfill pending opens a *hold* (begin_hold/end_hold)
-// so nothing at or after the run's start flushes before the backfill
-// lands. Per-var duplicate suppression happens at flush time, in the
-// canonical order, so it is insensitive to submission order too.
+// run's geometry (change_at). A producer with backfill pending opens a
+// *hold* (begin_hold/end_hold) so nothing at or after the run's start
+// flushes before the backfill lands; the canonical order then makes the
+// file byte-identical to the per-bit reference.
 #pragma once
 
 #include <cstdint>
@@ -25,80 +32,42 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace btsc::sim {
 
 class Environment;
 
-/// Identifier assigned to each traced signal.
+/// Identifier assigned to each traced value.
 using TraceId = std::uint32_t;
-
-/// Abstract trace sink. SignalBase calls declare() once and change() on
-/// every committed value change.
-class Tracer {
- public:
-  virtual ~Tracer() = default;
-
-  /// Declares a signal. `width` is the bit width (1 => VCD scalar);
-  /// `initial` (may be empty) is dumped as the time-zero value.
-  /// Hierarchical names use '.' separators (e.g. "master.enable_rx_RF").
-  virtual TraceId declare(const std::string& name, unsigned width,
-                          const std::string& initial = std::string()) = 0;
-
-  /// Records a value change. `value` is the bit string, MSB first; for
-  /// scalars it is a single character from {0,1,x,z}.
-  virtual void change(TraceId id, const std::string& value) = 0;
-
-  // ---- backfill (burst-run trace reconstruction) ----
-
-  /// True when this tracer accepts time-stamped backfill (change_at under
-  /// a hold window). The burst transport only batches traced packets when
-  /// the attached tracer can take the reconstructed transitions; a sink
-  /// without backfill (e.g. RecordingTracer) keeps the per-bit path.
-  virtual bool supports_backfill() const { return false; }
-
-  /// Records a change at an explicit past instant. Only meaningful while
-  /// a hold opened at or before `time_ns` is in effect; tracers that do
-  /// not support backfill ignore it.
-  virtual void change_at(TraceId id, const std::string& value,
-                         std::uint64_t time_ns) {
-    (void)id;
-    (void)value;
-    (void)time_ns;
-  }
-
-  /// Brackets a window whose past instants may still receive change_at
-  /// backfill. Holds nest (refcounted); a tracer must not emit anything
-  /// time-stamped inside an open hold window until the hold ends.
-  virtual void begin_hold() {}
-  virtual void end_hold() {}
-};
 
 /// VCD file writer. Declarations must all happen before the first change
 /// (i.e. construct all modules before running the simulation), which is
 /// the natural elaboration-then-simulate order.
-///
-/// Changes are buffered and flushed in canonical (time, id) order once
-/// simulation time has moved past them (and no hold is open), so
-/// burst-run backfill interleaves exactly where the per-bit reference
-/// would have written its changes.
-class VcdTracer final : public Tracer {
+class VcdTracer {
  public:
   /// `env` provides timestamps; `path` is the output file. Throws
   /// std::runtime_error if the file cannot be opened.
   VcdTracer(Environment& env, const std::string& path);
-  ~VcdTracer() override;
+  ~VcdTracer();
 
-  TraceId declare(const std::string& name, unsigned width,
-                  const std::string& initial = std::string()) override;
-  void change(TraceId id, const std::string& value) override;
+  VcdTracer(const VcdTracer&) = delete;
+  VcdTracer& operator=(const VcdTracer&) = delete;
 
-  bool supports_backfill() const override { return true; }
-  void change_at(TraceId id, const std::string& value,
-                 std::uint64_t time_ns) override;
-  void begin_hold() override;
-  void end_hold() override;
+  /// Declares a scalar whose time-zero value is `initial`. Hierarchical
+  /// names use '.' separators (e.g. "master.enable_rx_RF").
+  TraceId declare(const std::string& name, char initial);
+
+  /// Records a change to `value` at the current simulation time.
+  void change(TraceId id, char value);
+
+  /// Records a change at an explicit past instant. Only meaningful while
+  /// a hold opened at or before `time_ns` is in effect.
+  void change_at(TraceId id, char value, std::uint64_t time_ns);
+
+  /// Brackets a window whose past instants may still receive change_at
+  /// backfill. Holds nest (refcounted); nothing time-stamped inside an
+  /// open hold window is emitted until the hold ends.
+  void begin_hold();
+  void end_hold();
 
   /// Flushes every buffered change (holds notwithstanding) and closes
   /// the file (also done by the destructor). Producers with backfill
@@ -110,20 +79,19 @@ class VcdTracer final : public Tracer {
   struct Pending {
     std::uint64_t time_ns;
     TraceId id;
-    std::string value;
+    char value;
     std::uint64_t seq;  // insertion order; makes the flush order total
+  };
+
+  struct Var {
+    std::string name;
+    char last;  // last emitted value
   };
 
   void write_header();
   /// Sorts the buffer and emits every entry with time < `limit_ns`.
   void flush_before(std::uint64_t limit_ns);
   static std::string vcd_id(TraceId id);
-
-  struct Var {
-    std::string name;
-    unsigned width;
-    std::string last;  // last emitted value, to suppress no-op changes
-  };
 
   Environment& env_;
   std::ofstream out_;
@@ -134,29 +102,6 @@ class VcdTracer final : public Tracer {
   bool started_ = false;  // a change has been recorded; declare() closed
   bool header_written_ = false;
   std::uint64_t last_ts_ = ~0ull;
-};
-
-/// In-memory tracer for tests: records (time, name, value) tuples.
-class RecordingTracer final : public Tracer {
- public:
-  struct Record {
-    std::uint64_t time_ns;
-    std::string name;
-    std::string value;
-  };
-
-  explicit RecordingTracer(Environment& env) : env_(env) {}
-
-  TraceId declare(const std::string& name, unsigned width,
-                  const std::string& initial = std::string()) override;
-  void change(TraceId id, const std::string& value) override;
-
-  const std::vector<Record>& records() const { return records_; }
-
- private:
-  Environment& env_;
-  std::vector<std::string> names_;
-  std::vector<Record> records_;
 };
 
 }  // namespace btsc::sim

@@ -1,8 +1,8 @@
 // Allocation-free move-only callback type for the kernel hot path.
 //
 // UniqueFunction is the kernel's replacement for std::function<void()>
-// in every scheduling path (Environment::schedule, register_process,
-// LinkController::defer, the Radio tx/rx timers). It differs from
+// in every scheduling path (Environment::schedule, LinkController::defer,
+// the Radio tx/rx timers). It differs from
 // std::function in exactly the two ways the timed queue needs:
 //
 //  * move-only -- captures are never copied, so move-only state

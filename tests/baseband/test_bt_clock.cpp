@@ -16,24 +16,25 @@ using namespace btsc::sim::literals;
 using btsc::sim::Environment;
 using btsc::sim::SimTime;
 
-/// A subscriber with a fixed answer: 0 sleeps after every delivered tick,
-/// n > 0 asks for every n-th tick.
-struct FixedDemand final : TickDemand {
-  explicit FixedDemand(std::uint32_t a) : ahead(a) {}
+/// A subscriber with a fixed answer -- 0 sleeps after every delivered
+/// tick, n > 0 asks for every n-th tick -- that records (time, clkn) for
+/// every delivered tick and, when asked to, wakes the clock from it.
+struct TickLog final : TickSubscriber {
+  TickLog(Environment& env, NativeClock& clk, std::uint32_t ahead)
+      : env(env), clk(clk), ahead(ahead) {
+    clk.set_subscriber(this);
+  }
   std::uint32_t ticks_until_needed(std::uint32_t) const override {
     return ahead;
   }
-  std::uint32_t ahead;
-};
-
-/// Records (time, clkn) for every delivered tick.
-struct TickLog {
-  TickLog(Environment& env, NativeClock& clk) {
-    auto& p = env.register_process("log", [this, &env, &clk] {
-      seen.emplace_back(env.now(), clk.clkn());
-    });
-    clk.tick_event().add_sensitive(p);
+  void on_tick() override {
+    seen.emplace_back(env.now(), clk.clkn());
+    if (wake_on_tick) clk.wake();
   }
+  Environment& env;
+  NativeClock& clk;
+  std::uint32_t ahead;
+  bool wake_on_tick = false;
   std::vector<std::pair<SimTime, std::uint32_t>> seen;
 };
 
@@ -81,13 +82,11 @@ TEST(NativeClockTest, PhaseOffsetShiftsTickGrid) {
 TEST(NativeClockTest, TickEventFiresAfterIncrement) {
   Environment env;
   NativeClock clk(env, "clkn", 7);
-  std::vector<std::uint32_t> seen;
-  auto& p = env.register_process("watch", [&] { seen.push_back(clk.clkn()); });
-  clk.tick_event().add_sensitive(p);
+  TickLog log(env, clk, 1);
   env.run_until(kTickPeriod * 3);
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], 8u);
-  EXPECT_EQ(seen[2], 10u);
+  ASSERT_EQ(log.seen.size(), 3u);
+  EXPECT_EQ(log.seen[0].second, 8u);
+  EXPECT_EQ(log.seen[2].second, 10u);
 }
 
 TEST(NativeClockTest, BitAccessor) {
@@ -118,8 +117,7 @@ TEST(NativeClockTest, ClknCountsElidedTicksDuringSleep) {
   Environment env;
   const SimTime phase = SimTime::us(50);
   NativeClock clk(env, "clkn", kClockMask - 5, phase);
-  const FixedDemand sleep(0);
-  clk.set_demand(&sleep);
+  TickLog sleep(env, clk, 0);
   // The first tick is delivered (its demand answer puts the clock to
   // sleep); every later one is elided but still counted by clkn().
   for (std::uint64_t i = 0; i < 40; ++i) {
@@ -139,8 +137,7 @@ TEST(NativeClockTest, ClknCountsElidedTicksDuringSleep) {
 TEST(NativeClockTest, ClknReadInsideDispatchOnElidedInstantCountsIt) {
   Environment env;
   NativeClock clk(env, "clkn", 0);
-  const FixedDemand sleep(0);
-  clk.set_demand(&sleep);
+  TickLog sleep(env, clk, 0);
   std::uint32_t read = 0;
   env.schedule(kTickPeriod * 9, [&] { read = clk.clkn(); });
   env.run_until(SimTime::ms(10));
@@ -152,9 +149,7 @@ TEST(NativeClockTest, WakeOnGridInstantDeliversThatTickInSameInstant) {
   Environment env;
   const SimTime phase = SimTime::us(120);
   NativeClock clk(env, "clkn", 100, phase);
-  FixedDemand demand(0);
-  clk.set_demand(&demand);
-  TickLog log(env, clk);
+  TickLog log(env, clk, 0);
   // A timed callback exactly on the elided instant 10 wakes the clock:
   // that instant's tick runs in the same instant, after the callback.
   env.schedule(grid(phase, 10), [&] { clk.wake(); });
@@ -169,7 +164,7 @@ TEST(NativeClockTest, WakeOnGridInstantDeliversThatTickInSameInstant) {
   ASSERT_EQ(log.seen.size(), 3u);
   EXPECT_EQ(log.seen[2], std::make_pair(grid(phase, 22), 123u));
 
-  // Between runs an on-grid now() is finished: its delta has run, so a
+  // Between runs an on-grid now() is finished: its round has run, so a
   // wake there delivers the following instant.
   clk.wake();
   env.run_until(grid(phase, 40));
@@ -180,15 +175,9 @@ TEST(NativeClockTest, WakeOnGridInstantDeliversThatTickInSameInstant) {
 TEST(NativeClockTest, WakeInsideDeliveredTickTakesTheNextInstantOnce) {
   Environment env;
   NativeClock clk(env, "clkn", 0);
-  FixedDemand demand(4);
-  clk.set_demand(&demand);
-  TickLog log(env, clk);
-  bool wake_on_tick = true;
-  auto& waker = env.register_process("waker", [&] {
-    if (wake_on_tick) clk.wake();
-  });
-  clk.tick_event().add_sensitive(waker);
-  // A wake from the delivered tick's own delta pulls the pending
+  TickLog log(env, clk, 4);
+  log.wake_on_tick = true;
+  // A wake from the delivered tick's own on_tick pulls the pending
   // delivery (four ticks out) back to the next instant -- never the
   // same instant again.
   env.run_until(kTickPeriod * 3);
@@ -200,13 +189,13 @@ TEST(NativeClockTest, WakeInsideDeliveredTickTakesTheNextInstantOnce) {
 
   // With the next instant already pending, a wake keeps that timer:
   // delivery every tick costs no cancel-and-re-arm.
-  demand.ahead = 1;
+  log.ahead = 1;
   env.run_until(kTickPeriod * 20);
   EXPECT_EQ(log.seen.size(), 20u);
   EXPECT_EQ(env.scheduler_stats().canceled, 3u);
 
-  wake_on_tick = false;
-  demand.ahead = 4;
+  log.wake_on_tick = false;
+  log.ahead = 4;
   env.run_until(kTickPeriod * 40);
   EXPECT_EQ(log.seen.size(), 25u);
   EXPECT_EQ(env.scheduler_stats().canceled, 3u);
@@ -215,9 +204,7 @@ TEST(NativeClockTest, WakeInsideDeliveredTickTakesTheNextInstantOnce) {
 TEST(NativeClockTest, EveryNthTickDelivered) {
   Environment env;
   NativeClock clk(env, "clkn", 2);
-  const FixedDemand every4(4);
-  clk.set_demand(&every4);
-  TickLog log(env, clk);
+  TickLog log(env, clk, 4);
   env.run_until(kTickPeriod * 17);
   ASSERT_EQ(log.seen.size(), 5u);
   for (std::size_t i = 0; i < log.seen.size(); ++i) {
@@ -230,9 +217,7 @@ TEST(NativeClockTest, EveryNthTickDelivered) {
 TEST(NativeClockTest, ResetPhaseDuringSleep) {
   Environment env;
   NativeClock clk(env, "clkn", 40, SimTime::us(10));
-  const FixedDemand sleep(0);
-  clk.set_demand(&sleep);
-  TickLog log(env, clk);
+  TickLog log(env, clk, 0);
   env.run_until(SimTime::ms(3) + SimTime::us(7));
   EXPECT_EQ(clk.clkn(), 50u);
   clk.reset_phase(500, SimTime::us(200));
@@ -264,9 +249,7 @@ struct WakeBench final : sim::RearmHandler {
   WakeBench(std::uint64_t seed, std::uint32_t ahead)
       : env(seed),
         clk(env, "clkn", 0x0FFFFF00u, kPhase),
-        demand(ahead),
-        log(env, clk) {
-    clk.set_demand(&demand);
+        log(env, clk, ahead) {
     env.register_rearm("bench", this, this);
     for (std::uint64_t i = 0; i < std::size(kWakes); ++i) wake_at(i);
   }
@@ -280,7 +263,6 @@ struct WakeBench final : sim::RearmHandler {
 
   Environment env;
   NativeClock clk;
-  FixedDemand demand;
   TickLog log;
 };
 

@@ -70,12 +70,9 @@ std::vector<std::uint8_t> snapshot_when_legal(System& sys) {
 }
 
 /// A structurally identical twin ready to receive a restore: same
-/// construction path (so the same object graph and rearm registrations),
-/// settled so the kernel accepts the overwrite.
+/// construction path (so the same object graph and rearm registrations).
 std::unique_ptr<BluetoothSystem> twin_of(const SystemConfig& sc) {
-  auto sys = std::make_unique<BluetoothSystem>(sc);
-  sys->env().settle();
-  return sys;
+  return std::make_unique<BluetoothSystem>(sc);
 }
 
 // ---- round-trip goldens ----------------------------------------------------
@@ -194,7 +191,6 @@ TEST(CoexistenceCheckpoint, RfDelayRestoredRunMatchesUninterrupted) {
   ASSERT_TRUE(has_rf_apply_timer(snap));
 
   TwoPiconets twin(cfg);
-  twin.env().settle();
   PeriodicTrafficSource u0(twin.master(0), 1, 8, 9);
   PeriodicTrafficSource u1(twin.master(1), 1, 8, 9);
   twin.restore_snapshot(snap);

@@ -52,27 +52,30 @@ std::vector<std::uint8_t> snapshot_when_legal(BluetoothSystem& sys) {
 }
 
 std::unique_ptr<BluetoothSystem> twin_of(const SystemConfig& sc) {
-  auto sys = std::make_unique<BluetoothSystem>(sc);
-  sys->env().settle();
-  return sys;
+  return std::make_unique<BluetoothSystem>(sc);
 }
 
-/// One delivered tick as the device saw it (after its tick process ran).
+/// One delivered tick as the device saw it (after its controller ran).
 struct TickRecord {
   std::uint32_t clkn;
   LcState state;
 };
 
-/// Records every delivered tick of one device. The recorder's process
-/// subscribes after the link controller's, so it sees each tick's outcome.
-struct TickLog {
-  TickLog(BluetoothSystem& sys, Device& dev) {
-    auto& p = sys.env().register_process(dev.name() + ".tick_log", [this,
-                                                                    &dev] {
-      ticks.push_back({dev.clock().clkn(), dev.lc().state()});
-    });
-    dev.clock().tick_event().add_sensitive(p);
+/// Records every delivered tick of one device: stands in as the clock's
+/// subscriber, forwards both calls to the link controller and logs each
+/// tick's outcome.
+struct TickLog final : baseband::TickSubscriber {
+  explicit TickLog(Device& dev) : dev(dev) {
+    dev.clock().set_subscriber(this);
   }
+  std::uint32_t ticks_until_needed(std::uint32_t clkn) const override {
+    return dev.lc().ticks_until_needed(clkn);
+  }
+  void on_tick() override {
+    dev.lc().on_tick();
+    ticks.push_back({dev.clock().clkn(), dev.lc().state()});
+  }
+  Device& dev;
   std::vector<TickRecord> ticks;
 };
 
@@ -109,7 +112,7 @@ TEST(TickElision, InquiryScannerTicksOnlyAroundWindowsAndSecondIdListen) {
     BluetoothSystem sys(s);
     std::vector<std::unique_ptr<TickLog>> logs;
     for (int i = 0; i < sys.num_slaves(); ++i) {
-      logs.push_back(std::make_unique<TickLog>(sys, sys.slave(i)));
+      logs.push_back(std::make_unique<TickLog>(sys.slave(i)));
     }
     ASSERT_TRUE(sys.run_inquiry().success) << "seed " << seed;
     for (int i = 0; i < sys.num_slaves(); ++i) {

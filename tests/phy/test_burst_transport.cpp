@@ -234,7 +234,6 @@ TEST(BurstTransportTest, AbortMidRunStopsAtTheExactBit) {
   EXPECT_TRUE(tx.tx_busy());
   tx.abort_tx();
   EXPECT_FALSE(tx.tx_busy());
-  env.settle();
   EXPECT_EQ(ch.sense(3), Logic4::kZ);
   // Outside dispatch, the bit at exactly t=5us has fired: 6 bits on air
   // (matching the per-bit chain under run_until semantics).

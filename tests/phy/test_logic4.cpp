@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "sim/environment.hpp"
+#include "sim/tracer.hpp"
 
 namespace btsc::phy {
 namespace {
@@ -78,11 +87,29 @@ TEST(Logic4Test, ToChar) {
 }
 
 TEST(Logic4Test, TraceEncoderScalar) {
-  using Enc = btsc::sim::TraceEncoder<Logic4>;
-  EXPECT_EQ(Enc::width(), 1u);
-  EXPECT_EQ(Enc::encode(Logic4::kZ), "z");
-  EXPECT_EQ(Enc::encode(Logic4::kX), "x");
-  EXPECT_EQ(Enc::encode(Logic4::kOne), "1");
+  // A traced Logic4 (the channel bus) is a one-bit VCD scalar whose
+  // value character is to_char.
+  using namespace btsc::sim::literals;
+  const std::string path = ::testing::TempDir() + "btsc_logic4_trace_" +
+                           std::to_string(::getpid()) + ".vcd";
+  sim::Environment env;
+  {
+    sim::VcdTracer tracer(env, path);
+    const sim::TraceId id = tracer.declare("bus", to_char(Logic4::kZ));
+    env.schedule(1_us, [&] { tracer.change(id, to_char(Logic4::kX)); });
+    env.schedule(2_us, [&] { tracer.change(id, to_char(Logic4::kOne)); });
+    env.run_until(3_us);
+    tracer.close();
+  }
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  const std::string vcd = os.str();
+  std::remove(path.c_str());
+  EXPECT_NE(vcd.find("$var wire 1 ! bus $end"), std::string::npos);
+  EXPECT_NE(vcd.find("$dumpvars\nz!\n$end"), std::string::npos);
+  EXPECT_NE(vcd.find("#1000\nx!"), std::string::npos);
+  EXPECT_NE(vcd.find("#2000\n1!"), std::string::npos);
 }
 
 }  // namespace

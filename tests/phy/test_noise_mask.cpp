@@ -328,21 +328,6 @@ TEST(NoiseMaskTest, FlippedBitsCounterIsLazyDuringRun) {
   EXPECT_GT(mid_flips[0], 0u);
 }
 
-TEST(NoiseMaskTest, RecordingTracerKeepsPerBitSemantics) {
-  // A tracer without backfill support must force the per-bit path (the
-  // existing unit-test semantics of RecordingTracer stay intact).
-  Environment env(3);
-  sim::RecordingTracer tracer(env);
-  env.set_tracer(&tracer);
-  NoisyChannel ch(env, "ch");
-  Radio tx(env, "tx", ch);
-  tx.transmit(1, random_payload(50, 8));
-  env.run(100_us);
-  EXPECT_EQ(ch.bits_burst(), 0u);
-  EXPECT_EQ(ch.bits_driven(), 50u);
-  env.set_tracer(nullptr);
-}
-
 // ---- traced backfill: VCD bytes vs the per-bit reference ----
 
 std::string slurp(const std::string& path) {

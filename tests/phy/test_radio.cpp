@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "phy/channel.hpp"
 #include "sim/environment.hpp"
+#include "sim/tracer.hpp"
 
 namespace btsc::phy {
 namespace {
@@ -69,7 +76,6 @@ TEST(RadioTest, AbortReleasesMedium) {
   EXPECT_TRUE(rig.tx.tx_busy());
   rig.tx.abort_tx();
   EXPECT_FALSE(rig.tx.tx_busy());
-  rig.env.settle();
   EXPECT_EQ(rig.ch.sense(3), Logic4::kZ);
   // No further bits are driven.
   const auto sent = rig.tx.bits_sent();
@@ -101,18 +107,41 @@ TEST(RadioTest, RetuneSwitchesFrequency) {
 }
 
 TEST(RadioTest, EnableLinesFollowTxRx) {
-  Rig rig;
-  rig.env.run(1_us);
-  rig.tx.transmit(0, BitVector(10));
-  rig.rx.enable_rx(0);
-  rig.env.settle();
-  EXPECT_TRUE(rig.tx.enable_tx_rf().read());
-  EXPECT_TRUE(rig.rx.enable_rx_rf().read());
-  rig.env.run(15_us);
-  EXPECT_FALSE(rig.tx.enable_tx_rf().read());
-  rig.rx.disable_rx();
-  rig.env.settle();
-  EXPECT_FALSE(rig.rx.enable_rx_rf().read());
+  // The traced RF enable lines are TX busy and RX on.
+  const std::string path = ::testing::TempDir() + "btsc_radio_enable_" +
+                           std::to_string(::getpid()) + ".vcd";
+  {
+    Environment env;
+    sim::VcdTracer tracer(env, path);
+    env.set_tracer(&tracer);
+    NoisyChannel ch(env, "ch");
+    Radio tx(env, "tx", ch);
+    Radio rx(env, "rx", ch);
+    env.run(1_us);
+    tx.transmit(0, BitVector(10));
+    rx.enable_rx(0);
+    EXPECT_TRUE(tx.tx_busy());
+    EXPECT_TRUE(rx.rx_enabled());
+    env.run(15_us);
+    EXPECT_FALSE(tx.tx_busy());
+    rx.disable_rx();
+    EXPECT_FALSE(rx.rx_enabled());
+    env.run(1_us);
+    tracer.close();
+    env.set_tracer(nullptr);
+  }
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  const std::string vcd = os.str();
+  std::remove(path.c_str());
+  // Ids in declaration order: ch.bus !, tx.enable_tx_RF ", tx.enable_rx_RF
+  // #, rx.enable_tx_RF $, rx.enable_rx_RF %.
+  EXPECT_NE(vcd.find("$var wire 1 \" tx.enable_tx_RF $end"), std::string::npos);
+  EXPECT_NE(vcd.find("$var wire 1 % rx.enable_rx_RF $end"), std::string::npos);
+  EXPECT_NE(vcd.find("#1000\n0!\n1\"\n1%\n#11000\nz!\n0\"\n#16000\n0%\n"),
+            std::string::npos)
+      << vcd;
 }
 
 TEST(RadioTest, ActivityAccountingMatchesEnabledTime) {

@@ -1,15 +1,14 @@
-// Kernel scheduler semantics: timed callbacks, delta cycles, cancellation,
-// determinism. These tests pin down the evaluate/update contract that all
+// Kernel scheduler semantics: timed callbacks, the end-of-instant round,
+// cancellation, determinism. These tests pin down the dispatch order all
 // Bluetooth models rely on.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/environment.hpp"
-#include "sim/event.hpp"
-#include "sim/signal.hpp"
 #include "sim/time.hpp"
 
 namespace btsc::sim {
@@ -124,54 +123,88 @@ TEST(SchedulerTest, IdleReflectsPendingWork) {
   EXPECT_TRUE(env.idle());
 }
 
-TEST(SchedulerTest, TimedEventNotifiesSensitiveProcess) {
+// ---- the end-of-instant round ----
+
+/// Round participant that logs its turn and whether the kernel counted
+/// it as dispatching; optionally schedules a zero-delay timer from the
+/// round.
+struct Logger final : InstantEnd {
+  Logger(Environment& env, std::vector<std::string>& log, std::string tag)
+      : env(env), log(log), tag(std::move(tag)) {}
+  void end_of_instant() override {
+    log.push_back(tag + (env.dispatching() ? "@" : "!") +
+                  std::to_string(env.now().as_ns()));
+    if (then) env.schedule(SimTime::zero(), std::move(then));
+  }
+  Environment& env;
+  std::vector<std::string>& log;
+  std::string tag;
+  std::function<void()> then;
+};
+
+TEST(SchedulerTest, EndOfInstantRoundRunsAfterZeroDelayTimers) {
   Environment env;
-  Event ev(env, "ev");
-  int fired = 0;
-  Process& p = env.register_process("p", [&] { fired++; });
-  ev.add_sensitive(p);
-  ev.notify(100_us);
+  std::vector<std::string> log;
+  Logger a(env, log, "a");
+  env.schedule(7_us, [&] {
+    log.push_back("t1");
+    env.queue_end_of_instant(a);
+    // A zero-delay timer scheduled after queueing still runs first.
+    env.schedule(0_ns, [&] { log.push_back("t1.0"); });
+  });
+  env.schedule(7_us, [&] { log.push_back("t2"); });
   env.run_until(1_ms);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(log, (std::vector<std::string>{"t1", "t2", "t1.0", "a@7000"}));
 }
 
-TEST(SchedulerTest, DeltaNotifyRunsProcessWithoutTimeAdvance) {
+TEST(SchedulerTest, EndOfInstantRoundRunsInQueueOrderWhileDispatching) {
   Environment env;
-  Event ev(env, "ev");
-  SimTime when = SimTime::max();
-  Process& p = env.register_process("p", [&] { when = env.now(); });
-  ev.add_sensitive(p);
-  env.schedule(7_us, [&] { ev.notify_delta(); });
-  env.run_until(1_ms);
-  EXPECT_EQ(when, 7_us);
-}
-
-TEST(SchedulerTest, ProcessNotQueuedTwicePerDelta) {
-  Environment env;
-  Event a(env, "a"), b(env, "b");
-  int runs = 0;
-  Process& p = env.register_process("p", [&] { runs++; });
-  a.add_sensitive(p);
-  b.add_sensitive(p);
-  env.schedule(1_us, [&] {
-    a.notify_delta();
-    b.notify_delta();
+  std::vector<std::string> log;
+  Logger a(env, log, "a"), b(env, log, "b"), c(env, log, "c");
+  env.schedule(3_us, [&] { env.queue_end_of_instant(b); });
+  env.schedule(3_us, [&] {
+    env.queue_end_of_instant(c);
+    env.queue_end_of_instant(a);
   });
   env.run_until(1_ms);
-  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(log, (std::vector<std::string>{"b@3000", "c@3000", "a@3000"}));
+  EXPECT_FALSE(env.dispatching());
+}
+
+TEST(SchedulerTest, ZeroDelayTimerFromRoundRunsAfterItAtSameInstant) {
+  Environment env;
+  std::vector<std::string> log;
+  Logger a(env, log, "a"), b(env, log, "b"), again(env, log, "again");
+  a.then = [&] {
+    log.push_back("from-round@" + std::to_string(env.now().as_ns()));
+    env.queue_end_of_instant(again);  // a second round at this instant
+  };
+  env.schedule(5_us, [&] {
+    env.queue_end_of_instant(a);
+    env.queue_end_of_instant(b);
+  });
+  env.schedule(6_us, [&] { log.push_back("later"); });
+  env.run_until(1_ms);
+  EXPECT_EQ(log, (std::vector<std::string>{"a@5000", "b@5000",
+                                           "from-round@5000", "again@5000",
+                                           "later"}));
+  EXPECT_EQ(env.delta_count(), 2u);
 }
 
 TEST(SchedulerTest, ActivationAndDeltaCountersAdvance) {
+  // delta_count() counts rounds, process_activations() the calls made
+  // in them; a timer-only instant runs no round.
   Environment env;
-  Event ev(env, "ev");
-  Process& p = env.register_process("p", [] {});
-  ev.add_sensitive(p);
-  const auto d0 = env.delta_count();
-  const auto a0 = env.process_activations();
-  env.schedule(1_us, [&] { ev.notify_delta(); });
+  std::vector<std::string> log;
+  Logger a(env, log, "a"), b(env, log, "b");
+  env.schedule(1_us, [] {});
+  env.schedule(2_us, [&] {
+    env.queue_end_of_instant(a);
+    env.queue_end_of_instant(b);
+  });
   env.run_until(1_ms);
-  EXPECT_GT(env.delta_count(), d0);
-  EXPECT_EQ(env.process_activations(), a0 + 1);
+  EXPECT_EQ(env.delta_count(), 1u);
+  EXPECT_EQ(env.process_activations(), 2u);
 }
 
 // ---- true-cancellation semantics of the intrusive-heap timed queue ----
