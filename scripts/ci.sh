@@ -290,7 +290,7 @@ for fig in 8 10; do
   echo "fig$fig sweep byte-identical at 1/2/8 threads"
 done
 
-echo "=== burst-transport gate: fig06-fig12 byte-compare, batched vs per-bit ==="
+echo "=== burst-transport gate: fig06-fig12 + throughput byte-compare, batched vs per-bit ==="
 # The word-packed burst transport must never change simulation results
 # either: with --no-burst the same sweeps run on the one-event-per-bit
 # reference path and must produce identical rows/notes at every thread
@@ -298,19 +298,26 @@ echo "=== burst-transport gate: fig06-fig12 byte-compare, batched vs per-bit ===
 # the whole point), so those counters are stripped before comparing; see
 # docs/ARCHITECTURE.md, "Word-packed bit transport & burst delivery".
 # Every Monte-Carlo figure (fig06-08, fig10-12; fig09 is a waveform, not
-# a sweep) is compared burst-on vs per-bit; fig08/fig10 additionally
-# cross thread counts (the others are already thread-gated above via the
-# shared sweep engine). fig06-08 are BER sweeps, so with the batched
-# error-mask transport this is a genuine noisy gate: their BER > 0
-# points now run as masked burst runs on the left side and per-bit
-# Bernoulli draws on the right, and must still agree byte for byte.
+# a sweep) and the throughput study are compared burst-on vs per-bit;
+# fig08/fig10 additionally cross thread counts (the others are already
+# thread-gated above via the shared sweep engine). fig06-08 and
+# throughput are BER sweeps, so this is a genuine noisy gate: their
+# BER > 0 points run as masked burst runs (the noise flip process walked
+# across each packet) on the left side and step the same flip process
+# bit by bit on the right, and must still agree byte for byte.
+# throughput is the one noisy study that sets its BER with set_ber()
+# after creation and drives DH5-length masks.
 strip_kernel_meta() {
   sed -E 's/, "kernel_[a-z_]+": "[0-9]+"//g' "$1"
 }
-for fig in 6 7 8 10 11 12; do
-  ref="$gate_dir/fig${fig}_1t.json"   # fig08/fig10 exist from above
+for fig in 6 7 8 10 11 12 throughput; do
+  case "$fig" in
+    throughput) select=(--scenario throughput) name=throughput ;;
+    *) select=(--fig "$fig") name="fig$fig" ;;
+  esac
+  ref="$gate_dir/${name}_1t.json"   # fig8/fig10 exist from above
   if [[ ! -f "$ref" ]]; then
-    ./build/bench/btsc-sweep --fig "$fig" --quick --seeds 8 --threads 1 \
+    ./build/bench/btsc-sweep "${select[@]}" --quick --seeds 8 --threads 1 \
         --out "$ref" >/dev/null
   fi
   threads_list="1"
@@ -320,18 +327,18 @@ for fig in 6 7 8 10 11 12; do
   # swap gate above.
   case "$fig" in 6 | 7 | 8 | 10) threads_list="1 2 8" ;; esac
   for threads in $threads_list; do
-    out="$gate_dir/fig${fig}_${threads}t_noburst.json"
-    ./build/bench/btsc-sweep --fig "$fig" --quick --seeds 8 \
+    out="$gate_dir/${name}_${threads}t_noburst.json"
+    ./build/bench/btsc-sweep "${select[@]}" --quick --seeds 8 \
         --threads "$threads" --no-burst --out "$out" >/dev/null
     if ! cmp -s <(strip_kernel_meta "$ref") <(strip_kernel_meta "$out"); then
-      echo "error: fig$fig sweep results differ between burst and per-bit" >&2
+      echo "error: $name sweep results differ between burst and per-bit" >&2
       echo "       transport at $threads thread(s) (PHY equivalence broken;" >&2
       echo "       see docs/ARCHITECTURE.md, 'Word-packed bit transport &" >&2
       echo "       burst delivery')" >&2
       exit 1
     fi
   done
-  echo "fig$fig sweep results identical with burst transport on/off ($threads_list thread(s))"
+  echo "$name sweep results identical with burst transport on/off ($threads_list thread(s))"
 done
 
 echo "=== checkpoint-fork gate: forked vs cold staged sweeps, all studies ==="

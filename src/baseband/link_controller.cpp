@@ -594,7 +594,7 @@ void LinkController::inquiry_scan_on_result(const Receiver::Result& r) {
     radio_.disable_rx();
     enter_state(LcState::kInquiryResponse);
     const std::uint64_t slots =
-        env().draw_uniform(0, config_.inquiry_backoff_max_slots);
+        env().rng().uniform(0, config_.inquiry_backoff_max_slots);
     defer(kSlotDuration * slots, kBackoffEnd);
     return;
   }

@@ -179,7 +179,7 @@ void Receiver::on_bit(phy::Logic4 sample) {
       bit = false;  // no carrier: the demodulator slices noise floor
       break;
     default:  // collision: garbled symbol
-      bit = env_.draw_bernoulli(0.5);
+      bit = env_.rng().bernoulli(0.5);
       break;
   }
   execute(step(machine_, bit));

@@ -59,6 +59,12 @@ class TwoPiconets {
 
   void run(sim::SimTime duration) { env_.run(duration); }
 
+  /// Restarts the environment and channel-noise streams from `seed`.
+  void reseed(std::uint64_t seed) {
+    env_.rng().reseed(seed);
+    channel_.reseed(seed);
+  }
+
   // ---- checkpoint / fork ----
 
   /// Serializes all mutable state (channel, devices, link managers,

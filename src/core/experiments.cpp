@@ -295,7 +295,7 @@ std::unique_ptr<BluetoothSystem> make_creation_system(
 
 CreationSample run_creation_from(BluetoothSystem& sys,
                                  std::uint64_t replication_seed) {
-  sys.env().rng().reseed(replication_seed);
+  sys.reseed(replication_seed);
   sys.randomize_slave_clocks();
   return measure_creation(sys);
 }
@@ -341,7 +341,7 @@ std::unique_ptr<BluetoothSystem> master_activity_scaffold(
 
 MasterActivityRow run_master_activity_from(BluetoothSystem& sys, double duty,
                                            const MasterActivityConfig& cfg) {
-  sys.env().rng().reseed(cfg.seed);
+  sys.reseed(cfg.seed);
   return measure_master_activity(sys, duty, cfg);
 }
 
@@ -357,7 +357,7 @@ std::unique_ptr<BluetoothSystem> sniff_activity_scaffold(
 SlaveActivityRow run_sniff_activity_from(BluetoothSystem& sys,
                                          std::optional<std::uint32_t> tsniff,
                                          const SniffActivityConfig& cfg) {
-  sys.env().rng().reseed(cfg.seed);
+  sys.reseed(cfg.seed);
   return measure_sniff_activity(sys, tsniff, cfg);
 }
 
@@ -373,7 +373,7 @@ std::unique_ptr<BluetoothSystem> hold_activity_scaffold(
 SlaveActivityRow run_hold_activity_from(BluetoothSystem& sys,
                                         std::optional<std::uint32_t> thold,
                                         const HoldActivityConfig& cfg) {
-  sys.env().rng().reseed(cfg.seed);
+  sys.reseed(cfg.seed);
   return measure_hold_activity(sys, thold, cfg);
 }
 

@@ -26,7 +26,8 @@ struct SystemConfig {
   int num_slaves = 1;
   /// Channel bit error rate applied by the noisy channel.
   double ber = 0.0;
-  /// Root seed of the whole system (device streams are split from it).
+  /// Root seed of the whole system: the environment stream and, derived
+  /// from it, the channel's noise stream.
   std::uint64_t seed = 1;
   /// Link controller configuration applied to every device.
   baseband::LcConfig lc;
@@ -96,6 +97,13 @@ class BluetoothSystem {
   /// SystemConfig, including the seed) as the system that saved it; only
   /// mutable state is overwritten, the object graph is structural.
   void restore_snapshot(const std::vector<std::uint8_t>& bytes);
+
+  /// Restarts both random streams from `seed`: the environment's and the
+  /// channel's noise.
+  void reseed(std::uint64_t seed) {
+    env_.rng().reseed(seed);
+    channel_.reseed(seed);
+  }
 
   /// Re-randomises every slave's CLKN value and tick phase from the
   /// environment RNG, in construction draw order -- the per-replication

@@ -32,7 +32,11 @@ bool NoisyChannel::burst_transport_default() {
 
 NoisyChannel::NoisyChannel(sim::Environment& env, std::string name,
                            ChannelConfig config)
-    : Module(env, std::move(name)), config_(config) {
+    : Module(env, std::move(name)),
+      config_(config),
+      noise_(sim::Rng(sim::Rng::derive_stream_seed(env.seed(), kNoiseStream,
+                                                   0)),
+             config.ber) {
   if (config_.ber < 0.0 || config_.ber > 1.0) {
     throw std::invalid_argument("NoisyChannel: BER outside [0,1]");
   }
@@ -61,6 +65,11 @@ NoisyChannel::~NoisyChannel() {
 void NoisyChannel::set_ber(double ber) {
   if (run_.active) fallback_run();
   config_.ber = ber;
+  noise_.set_p(ber);
+}
+
+void NoisyChannel::reseed(std::uint64_t seed) {
+  noise_.reseed(sim::Rng::derive_stream_seed(seed, kNoiseStream, 0));
 }
 
 void NoisyChannel::set_burst_transport_enabled(bool enabled) {
@@ -137,7 +146,7 @@ void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
   Logic4 v = value;
   if (is_defined(v)) {
     ++bits_driven_;
-    if (config_.ber > 0.0 && env().draw_bernoulli(config_.ber)) {
+    if (noise_.step()) {
       v = invert(v);
       ++bits_flipped_;
     }
@@ -212,10 +221,8 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   }
   // Equivalence gate: a run is accepted only when the batched loop is
   // provably identical to per-bit drives -- aligned drive instants (no
-  // RF delay) and nobody else on the air. BER > 0 is no longer refused:
-  // noise is pre-applied as an error mask drawn in exact per-bit order
-  // (arm_masked_run), guarded against foreign draws reordering the
-  // stream.
+  // RF delay) and nobody else on the air. BER > 0 is not refused: the
+  // noise walker is walked across the run up front (arm_masked_run).
   if (!config_.burst_transport || bits.empty() ||
       config_.rf_delay != sim::SimTime::zero() || run_.active ||
       defined_ports_ > 0) {
@@ -245,31 +252,11 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
 }
 
 void NoisyChannel::arm_masked_run(const sim::BitVector& bits) {
-  // Our bulk mask fill is a foreign draw for any other masked run in
-  // flight on this environment (coexistence setups share one RNG):
-  // make its guard stand down before we capture the stream position.
-  env().notify_rng_draw();
-  sim::Rng& rng = env().rng();
-  mask_base_ = rng.state();
-  build_masked_buffers(bits, rng);
-  run_.bits = &noisy_;
-  run_.masked = true;
-  if (sim::Rng::bernoulli_draws_per_bit(config_.ber) > 0) {
-    run_.mask_synced = false;
-    env().set_rng_guard(this);
-  } else {
-    // BER >= 1 consumes no draws, so the stream position matches the
-    // per-bit reference at every bit; no guard needed.
-    run_.mask_synced = true;
-  }
-}
-
-void NoisyChannel::build_masked_buffers(const sim::BitVector& bits,
-                                        sim::Rng& rng) {
+  mask_base_ = noise_.state();
   const std::size_t n = bits.size();
   mask_.clear();
   mask_.append_zeros(n);
-  rng.fill_error_mask(mask_.words_mut(), n, config_.ber);
+  noise_.walk(mask_.words_mut(), n);
   noisy_.clear();
   noisy_.append(bits);
   // Both vectors keep their tail bits zero, so whole-word XOR preserves
@@ -277,6 +264,8 @@ void NoisyChannel::build_masked_buffers(const sim::BitVector& bits,
   std::uint64_t* nw = noisy_.words_mut();
   const std::uint64_t* mw = mask_.words();
   for (std::size_t w = 0; w < noisy_.num_words(); ++w) nw[w] ^= mw[w];
+  run_.bits = &noisy_;
+  run_.masked = true;
 }
 
 std::size_t NoisyChannel::mask_flips_before(std::size_t k) const {
@@ -289,23 +278,6 @@ std::size_t NoisyChannel::mask_flips_before(std::size_t k) const {
     k -= k >= 64 ? 64 : k;
   }
   return flips;
-}
-
-void NoisyChannel::rng_external_draw() {
-  assert(run_.active && run_.masked && !run_.mask_synced);
-  if (run_bits_elapsed() >= run_.bits->size()) {
-    // Every bit of the run is already on the air, so the upfront fill
-    // consumed exactly the draws the per-bit reference would have by
-    // now: the stream position already matches. Stand down.
-    run_.mask_synced = true;
-    env().set_rng_guard(nullptr);
-    return;
-  }
-  // A foreign draw landed mid-run: in per-bit order it belongs between
-  // the elapsed bits' draws and the remaining ones. settle_run() (via
-  // fallback_run) rewinds the stream to the elapsed position; the rest
-  // of the packet degrades to per-bit drives with fresh draws.
-  fallback_run();
 }
 
 std::size_t NoisyChannel::run_bits_elapsed() const {
@@ -358,15 +330,13 @@ void NoisyChannel::flush_trace_backfill() {
 std::size_t NoisyChannel::settle_run(std::size_t driven, Logic4 last) {
   assert(driven >= 1);
   if (run_.masked) {
-    if (!run_.mask_synced && driven < run_.bits->size()) {
-      // The per-bit reference would have consumed exactly `driven`
-      // noise draws by now: rewind the upfront fill to that position so
-      // every subsequent draw sees the stream the reference path would.
-      sim::Rng& rng = env().rng();
-      rng.set_state(mask_base_);
-      rng.discard(driven * sim::Rng::bernoulli_draws_per_bit(config_.ber));
+    if (driven < run_.bits->size()) {
+      // Only `driven` bits went on the air: re-walk the noise over just
+      // those, from the walker saved before the run, so the bits still
+      // to come draw their flips where the per-bit path would.
+      noise_.set_state(mask_base_);
+      noise_.walk(nullptr, driven);
     }
-    if (env().rng_guard() == this) env().set_rng_guard(nullptr);
     bits_flipped_ += mask_flips_before(driven);
   }
   if (trace_hold_) {
@@ -454,6 +424,13 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
   w.begin_section(sim::snapshot_tag("CHAN"));
   w.f64(config_.ber);
   w.b(config_.burst_transport);
+  // A masked run stores the walker it started from: the mask and the
+  // walker after it are a pure function of (walker, BER, length) and are
+  // re-walked on restore.
+  const sim::FlipProcess::State noise =
+      run_.active && run_.masked ? mask_base_ : noise_.state();
+  for (std::uint64_t v : noise.rng) w.u64(v);
+  w.u64(noise.gap);
   sim::save_seq(w, ports_.size(), [&](std::size_t i) {
     const Port& p = ports_[i];
     w.u32(static_cast<std::uint32_t>(p.freq));
@@ -466,13 +443,7 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
     w.u32(static_cast<std::uint32_t>(run_.freq));
     w.time(run_.start);
     w.time(run_.period);
-    // A masked run stores only the pre-fill RNG state: the mask is a
-    // pure function of (state, BER, length) and is rebuilt on restore.
     w.b(run_.masked);
-    if (run_.masked) {
-      w.b(run_.mask_synced);
-      for (std::uint64_t v : mask_base_) w.u64(v);
-    }
   }
   w.u64(bits_driven_);
   w.u64(bits_flipped_);
@@ -485,9 +456,8 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
 }
 
 void NoisyChannel::restore_state(sim::SnapshotReader& r) {
-  // In-place restore hygiene: stand down any live masked-run guard or
-  // tracer hold belonging to the state being overwritten.
-  if (env().rng_guard() == this) env().set_rng_guard(nullptr);
+  // In-place restore hygiene: release a tracer hold belonging to the
+  // state being overwritten.
   if (trace_hold_) {
     if (sim::VcdTracer* tracer = env().tracer()) tracer->end_hold();
     trace_hold_ = false;
@@ -495,6 +465,11 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
   r.enter_section(sim::snapshot_tag("CHAN"));
   config_.ber = r.f64();
   config_.burst_transport = r.b();
+  noise_.set_p(config_.ber);
+  sim::FlipProcess::State noise;
+  for (std::uint64_t& v : noise.rng) v = r.u64();
+  noise.gap = r.u64();
+  noise_.set_state(noise);
   std::size_t idx = 0;
   defined_ports_ = 0;
   sim::restore_seq(r, [&](std::size_t) {
@@ -518,11 +493,8 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     run_.start = r.time();
     run_.period = r.time();
     run_.masked = r.b();
-    if (run_.masked) {
-      run_.mask_synced = r.b();
-      for (std::uint64_t& v : mask_base_) v = r.u64();
-    }
-    // run_.bits/clean stay null until the owning radio rebinds them.
+    // run_.bits/clean stay null until the owning radio rebinds them (and,
+    // for a masked run, re-walks the mask from the restored walker).
   }
   bits_driven_ = r.u64();
   bits_flipped_ = r.u64();
@@ -542,18 +514,10 @@ void NoisyChannel::rebind_run_bits(PortId port, const sim::BitVector* bits) {
          run_.bits == nullptr);
   (void)port;
   run_.clean = bits;
-  if (run_.masked) {
-    // Regenerate the error mask on a scratch stream from the saved
-    // pre-fill state -- it is a pure function of (state, BER, length),
-    // so the restored medium is bit-identical to the saved one.
-    sim::Rng fill;
-    fill.set_state(mask_base_);
-    build_masked_buffers(*bits, fill);
-    run_.bits = &noisy_;
-    if (!run_.mask_synced) env().set_rng_guard(this);
-  } else {
-    run_.bits = bits;
-  }
+  run_.bits = bits;
+  // The restored walker is the one the run started from: walking it
+  // again rebuilds the same mask and leaves the walker where it was.
+  if (run_.masked) arm_masked_run(*bits);
 }
 
 void NoisyChannel::refresh_trace() {

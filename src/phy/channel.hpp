@@ -4,8 +4,10 @@
 //   - a device that is not transmitting drives 'Z' (high impedance);
 //   - two or more simultaneous transmitters on the same RF channel produce
 //     the undefined value 'X' (collision);
-//   - channel noise inverts defined bits with probability BER, controlled
-//     by the simulation's random number generator;
+//   - channel noise inverts defined bits with probability BER, drawn from
+//     the channel's own noise stream (a sim::FlipProcess seeded from the
+//     environment's seed), so noise never consumes a draw of the stream
+//     the link controllers use;
 //   - the modulator/demodulator delay of the RF blocks is modelled as a
 //     fixed latency between drive() and the value appearing on the medium.
 //
@@ -28,18 +30,19 @@
 // moment a second transmitter drives, the BER changes, or the
 // transmitter aborts.
 //
-// BER > 0 runs draw the whole packet's noise flips up front as an XOR
-// error mask (sim::Rng::fill_error_mask consumes the stream in exactly
-// the per-bit order) and expose the corrupted copy as the run's bits; a
-// registered sim::RngGuard rewinds/replays the stream if any foreign
-// RNG draw lands mid-run, so every seed reproduces the per-bit path
-// bit for bit. Traced runs reconstruct the bus waveform afterwards via
-// the tracer's time-stamped backfill. docs/ARCHITECTURE.md ("Word-packed
-// bit transport & burst delivery" and "Batched error masks") carries
-// the full equivalence argument.
+// Noise is one flip process over the bits the channel drives: a per-bit
+// drive steps it once, a BER > 0 run walks it across the whole packet up
+// front into an XOR error mask and exposes the corrupted copy as the
+// run's bits. A run cut short (abort, fallback) restores the walker it
+// saved at begin_burst and re-walks only the bits that were driven; the
+// noise stream is private to the channel, so nothing else can have drawn
+// from it in between, and burst == per-bit holds by construction. Traced
+// runs reconstruct the bus waveform afterwards via the tracer's
+// time-stamped backfill. docs/ARCHITECTURE.md ("Word-packed bit
+// transport & burst delivery" and "Noise flip process & traced burst
+// backfill") carries the full equivalence argument.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -51,6 +54,7 @@
 #include "sim/bitvector.hpp"
 #include "sim/environment.hpp"
 #include "sim/module.hpp"
+#include "sim/rng.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
 #include "sim/tracer.hpp"
@@ -80,7 +84,6 @@ using PortId = int;
 
 class NoisyChannel final : public sim::Module,
                            public sim::Snapshotable,
-                           public sim::RngGuard,
                            public sim::RearmHandler {
  public:
   /// Burst-transport callbacks implemented by the Radio that owns a
@@ -111,8 +114,18 @@ class NoisyChannel final : public sim::Module,
   const ChannelConfig& config() const { return config_; }
 
   /// Changing the BER mid-run degrades an active burst run to per-bit
-  /// first: the remaining bits need per-instant noise draws.
+  /// first: its mask was walked at the old BER.
   void set_ber(double ber);
+
+  /// Restarts the noise stream from `seed` (the environment's seed at
+  /// construction): Rng::derive_stream_seed(seed, kNoiseStream, 0).
+  void reseed(std::uint64_t seed);
+
+  /// Stream id of the noise under the system seed.
+  static constexpr std::uint64_t kNoiseStream = 0x4E4F495345ull;  // "NOISE"
+
+  /// The noise walker (stream + gap), for equivalence checks.
+  const sim::FlipProcess& noise() const { return noise_; }
 
   // ---- burst transport switches ----
 
@@ -164,8 +177,8 @@ class NoisyChannel final : public sim::Module,
   /// per-bit. `bits` must stay alive
   /// and unchanged until the run ends. On success the first bit is on
   /// the medium immediately (as a per-bit drive would be). BER > 0 runs
-  /// pre-apply noise as an error mask drawn in per-bit order; receivers
-  /// see the corrupted copy through rx_medium()/sense().
+  /// pre-apply noise as an error mask walked over the whole run;
+  /// receivers see the corrupted copy through rx_medium()/sense().
   bool begin_burst(PortId port, int freq, const sim::BitVector& bits,
                    sim::SimTime period);
 
@@ -208,20 +221,20 @@ class NoisyChannel final : public sim::Module,
   // ---- checkpointing ----
 
   /// Saves/restores the mutable channel state: BER and burst switch,
-  /// per-port drive/listening state, the active run's geometry and the
-  /// noise/collision counters. The run's packed bits are NOT part of the
-  /// stream -- they live in the transmitting Radio's tx buffer, and that
-  /// radio re-links them via rebind_run_bits() during its own restore
-  /// (the restore order guarantees it runs after the channel's). A
-  /// masked run stores only the pre-fill RNG state: the error mask is a
-  /// pure function of (state, BER, length) and is regenerated on
-  /// restore. Throws sim::SnapshotError while a traced run holds the
-  /// tracer -- the waveform buffer is not snapshotable.
+  /// the noise walker, per-port drive/listening state, the active run's
+  /// geometry and the noise/collision counters. The run's packed bits
+  /// are NOT part of the stream -- they live in the transmitting Radio's
+  /// tx buffer, and that radio re-links them via rebind_run_bits() during
+  /// its own restore (the restore order guarantees it runs after the
+  /// channel's). A masked run stores the walker as it was before the
+  /// run: the error mask is a pure function of (walker, BER, length) and
+  /// is re-walked on restore. Throws sim::SnapshotError while a traced
+  /// run holds the tracer -- the waveform buffer is not snapshotable.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
   /// Re-links the active run's bit storage (the transmitter's clean
-  /// bits) after a restore; rebuilds the error mask for masked runs.
+  /// bits) after a restore; re-walks the error mask for masked runs.
   /// Only valid while `port` owns the restored run.
   void rebind_run_bits(PortId port, const sim::BitVector* bits);
 
@@ -231,15 +244,6 @@ class NoisyChannel final : public sim::Module,
   /// traced run up to now(). Must be called before the tracer is closed
   /// or detached, or the run's waveform tail is lost.
   void flush_trace_backfill();
-
-  // ---- RngGuard ----
-
-  /// A foreign RNG draw landed while a masked run was in flight: rewind
-  /// the upfront mask fill to the per-bit draw position and degrade the
-  /// remainder of the run to per-bit scheduling (or, if every bit has
-  /// already elapsed, simply stand down -- the stream position matches
-  /// the per-bit reference exactly).
-  void rng_external_draw() override;
 
   // ---- diagnostics ----
   std::uint64_t bits_driven() const { return bits_driven_; }
@@ -262,10 +266,6 @@ class NoisyChannel final : public sim::Module,
     /// BER > 0: noise flips pre-applied via mask_, bits points at the
     /// channel-owned corrupted copy (noisy_).
     bool masked = false;
-    /// The per-bit RNG draw order has fully caught up with the upfront
-    /// mask fill (all bits elapsed when a foreign draw arrived); no
-    /// rewind is needed at settle time.
-    bool mask_synced = false;
     PortId port = -1;
     int freq = 0;
     /// What the medium shows (noisy_ for masked runs).
@@ -286,13 +286,9 @@ class NoisyChannel final : public sim::Module,
   void apply(PortId port, int freq, Logic4 value);
   void refresh_trace();
 
-  /// Draws the run's error mask (saving the pre-fill RNG state first),
-  /// builds the corrupted copy and registers the RNG guard.
+  /// Saves the walker in mask_base_, walks it across `bits` into mask_
+  /// and points the run at the corrupted copy noisy_.
   void arm_masked_run(const sim::BitVector& bits);
-
-  /// Rebuilds mask_/noisy_ for `bits` from mask_base_ (shared by
-  /// arm_masked_run and the snapshot rebind path).
-  void build_masked_buffers(const sim::BitVector& bits, sim::Rng& rng);
 
   /// Number of set bits in the first `k` mask positions.
   std::size_t mask_flips_before(std::size_t k) const;
@@ -327,6 +323,7 @@ class NoisyChannel final : public sim::Module,
   bool live_at(int freq) const;
 
   ChannelConfig config_;
+  sim::FlipProcess noise_;  // stepped per defined bit, walked per run
   struct Port {
     std::string name;
     int freq = -1;
@@ -342,7 +339,7 @@ class NoisyChannel final : public sim::Module,
   // bursts allocate nothing.
   sim::BitVector mask_;   // XOR error mask of the active masked run
   sim::BitVector noisy_;  // run_.clean ^ mask_, what the medium shows
-  std::array<std::uint64_t, 4> mask_base_{};  // RNG state before the fill
+  sim::FlipProcess::State mask_base_;  // walker before the run
   // Traced-run backfill (meaningful only while a hold is open).
   bool trace_hold_ = false;
   std::size_t backfilled_ = 0;  // run bits already backfilled

@@ -210,7 +210,7 @@ struct Warmed {
 /// measurement boundary: the environment stream, and the slave clock
 /// phases construction drew from the warm-up seed.
 void reseed_construction(System& sys, std::uint64_t seed) {
-  sys.env().rng().reseed(seed);
+  sys.reseed(seed);
   sys.randomize_slave_clocks();
 }
 
@@ -473,7 +473,7 @@ struct MasterActivityStudy {
   }
   Recipe recipe(double) const { return {}; }
   void reseed(System& sys, std::uint64_t seed) const {
-    sys.env().rng().reseed(seed);
+    sys.reseed(seed);
   }
   Sample measure(System& sys, double duty) const {
     return sample(core::measure_master_activity(sys, duty, cfg));
@@ -533,7 +533,7 @@ struct SlaveActivityStudy {
   }
   Recipe recipe(const Point&) const { return {}; }
   void reseed(System& sys, std::uint64_t seed) const {
-    sys.env().rng().reseed(seed);
+    sys.reseed(seed);
   }
   Sample measure(System& sys, const Point& mode) const {
     return scalar(run_measure(sys, mode, cfg).slave.total());
@@ -623,7 +623,7 @@ struct ThroughputStudy {
     return recipe_of(static_cast<std::uint32_t>(p.type));
   }
   void reseed(System& sys, std::uint64_t seed) const {
-    sys.env().rng().reseed(seed);
+    sys.reseed(seed);
   }
   Sample measure(System& sys, const Point& p) const {
     return scalar(
@@ -696,7 +696,7 @@ struct CoexistenceStudy {
   }
   Recipe recipe(std::uint32_t) const { return {}; }
   void reseed(core::TwoPiconets& net, std::uint64_t seed) const {
-    net.env().rng().reseed(seed);
+    net.reseed(seed);
   }
   Sample measure(core::TwoPiconets& net, std::uint32_t period) const {
     return sample(core::measure_coexistence(net, period, cfg));

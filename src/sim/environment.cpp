@@ -20,7 +20,7 @@ thread_local Environment::SchedulerTally* t_scope_tally = nullptr;
 
 }  // namespace
 
-Environment::Environment(std::uint64_t seed) : rng_(seed) {}
+Environment::Environment(std::uint64_t seed) : seed_(seed), rng_(seed) {}
 
 Environment::~Environment() {
   const SchedulerStats s = scheduler_stats();

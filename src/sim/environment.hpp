@@ -43,6 +43,8 @@
 //
 // The environment also owns the tracer (optional VCD output) and the root
 // random stream, so a whole simulation is reproducible from one seed.
+// Model code draws from rng() directly; the channel noise runs on its own
+// stream derived from seed() (see phy::NoisyChannel).
 #pragma once
 
 #include <atomic>
@@ -71,20 +73,6 @@ class InstantEnd {
 
  protected:
   ~InstantEnd() = default;
-};
-
-/// Hook fired immediately before any model-level draw from the
-/// environment RNG (draw_bernoulli / draw_uniform / notify_rng_draw).
-/// A phy::NoisyChannel with a pre-drawn error mask in flight registers
-/// one of these: the hook is its chance to rewind the stream to the
-/// per-bit draw order before the foreign draw lands (see
-/// docs/ARCHITECTURE.md, "Batched error masks").
-class RngGuard {
- public:
-  virtual void rng_external_draw() = 0;
-
- protected:
-  ~RngGuard() = default;
 };
 
 class Environment {
@@ -166,36 +154,8 @@ class Environment {
 
   // ---- services ----
   Rng& rng() { return rng_; }
-
-  /// Model-level RNG draws go through these wrappers instead of rng()
-  /// directly: they fire the registered RngGuard first, so a channel
-  /// holding a pre-drawn error mask can re-order its remaining draws
-  /// back into per-bit order before this draw consumes the stream.
-  bool draw_bernoulli(double p) {
-    notify_rng_draw();
-    return rng_.bernoulli(p);
-  }
-  std::uint64_t draw_uniform(std::uint64_t lo, std::uint64_t hi) {
-    notify_rng_draw();
-    return rng_.uniform(lo, hi);
-  }
-
-  /// Fires the guard without drawing — used by a channel about to bulk-
-  /// fill its own mask straight from rng() (its fill is a foreign draw
-  /// from every *other* guard's point of view).
-  void notify_rng_draw() {
-    if (rng_guard_ != nullptr) rng_guard_->rng_external_draw();
-  }
-
-  /// Registers the single RNG guard slot (nullptr clears). At most one
-  /// guard is live at a time: a second masked run cannot start until the
-  /// first one's guard has stood down (the notify_rng_draw() the second
-  /// channel fires before filling its mask forces exactly that).
-  void set_rng_guard(RngGuard* g) {
-    assert(g == nullptr || rng_guard_ == nullptr);
-    rng_guard_ = g;
-  }
-  RngGuard* rng_guard() const { return rng_guard_; }
+  /// The construction seed, root of private streams (the channel noise).
+  std::uint64_t seed() const { return seed_; }
 
   /// Attaches a VCD tracer (nullptr detaches). The environment does not
   /// own the tracer; it must outlive the simulation.
@@ -326,8 +286,8 @@ class Environment {
   /// The end-of-instant round queued at now_; empty between instants.
   std::vector<InstantEnd*> round_;
   std::vector<RearmEntry> rearm_entries_;
+  std::uint64_t seed_;
   Rng rng_;
-  RngGuard* rng_guard_ = nullptr;
   VcdTracer* tracer_ = nullptr;
   bool dispatching_ = false;
   std::uint64_t delta_count_ = 0;

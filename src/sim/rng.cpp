@@ -1,5 +1,7 @@
 #include "sim/rng.hpp"
 
+#include <algorithm>
+
 namespace btsc::sim {
 namespace {
 
@@ -56,28 +58,10 @@ bool Rng::bernoulli(double p) {
 }
 
 void Rng::fill_error_mask(std::uint64_t* words, std::size_t nbits, double p) {
-  const std::size_t nwords = (nbits + 63) / 64;
-  if (p <= 0.0 || p >= 1.0) {
-    // bernoulli() takes its constant shortcut without consuming a draw;
-    // the mask mirrors that: all clear / all set, zero draws.
-    const std::uint64_t fill = p >= 1.0 && nbits > 0 ? ~0ull : 0ull;
-    for (std::size_t w = 0; w < nwords; ++w) words[w] = fill;
-  } else {
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::size_t base = w * 64;
-      const unsigned n =
-          static_cast<unsigned>(nbits - base < 64 ? nbits - base : 64);
-      std::uint64_t m = 0;
-      for (unsigned j = 0; j < n; ++j) {
-        // Exactly bernoulli(p)'s draw, in per-bit order (bit 0 first).
-        if (uniform01() < p) m |= 1ull << j;
-      }
-      words[w] = m;
-    }
-  }
-  if (nbits % 64 != 0 && nwords > 0) {
-    words[nwords - 1] &= (1ull << (nbits % 64)) - 1;
-  }
+  std::fill_n(words, (nbits + 63) / 64, 0ull);
+  FlipProcess flips(*this, p);
+  flips.walk(words, nbits);
+  *this = flips.stream();
 }
 
 std::uint64_t Rng::derive_stream_seed(std::uint64_t base, std::uint64_t stream,
@@ -100,14 +84,44 @@ void Rng::set_state(const std::array<std::uint64_t, 4>& s) {
   }
 }
 
-Rng Rng::split() {
-  Rng child;
-  child.s_ = {next(), next(), next(), next()};
-  // Guard against the (astronomically unlikely) all-zero state.
-  if ((child.s_[0] | child.s_[1] | child.s_[2] | child.s_[3]) == 0) {
-    child.reseed(0xDEADBEEFull);
+void FlipProcess::set_p(double p) {
+  p_ = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
+  // (1-p)^(k+1) by repeated multiplication: every step is one correctly
+  // rounded IEEE product, so the table is the same on every platform.
+  const double q = 1.0 - p_;
+  double tail = 1.0;
+  for (double& c : cdf_) {
+    tail *= q;
+    c = 1.0 - tail;
   }
-  return child;
+  redraw();
+}
+
+std::uint64_t FlipProcess::draw_gap() {
+  if (cdf_[0] >= 1.0) return 0;  // p == 1 (to double precision)
+  std::uint64_t skipped = 0;
+  for (;;) {
+    const double u = rng_.uniform01();
+    if (u < cdf_[63]) {
+      // Branch-free search for the first k with u < cdf_[k].
+      std::size_t k = 0;
+      for (std::size_t half = 32; half > 0; half >>= 1) {
+        if (cdf_[k + half - 1] <= u) k += half;
+      }
+      return skipped + k;
+    }
+    skipped += 64;  // G >= 64: memoryless, so draw the rest afresh
+  }
+}
+
+void FlipProcess::walk(std::uint64_t* words, std::size_t nbits) {
+  if (p_ <= 0.0) return;
+  std::uint64_t pos = gap_;
+  while (pos < nbits) {
+    if (words != nullptr) words[pos / 64] |= 1ull << (pos % 64);
+    pos += 1 + draw_gap();
+  }
+  gap_ = pos - nbits;
 }
 
 }  // namespace btsc::sim

@@ -46,11 +46,11 @@
 namespace btsc::sim {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x42545343u;    // "BTSC"
-/// Version 5 dropped four fixed constants (carrier-sense window, train
-/// repeats, whitening, hold early wake) from "LC  " and the RF enable
-/// lines (mirrors of TX busy / RX on) from "RADI"; older images are
+/// Version 6 moved the channel noise onto its own stream: "CHAN" carries
+/// the noise walker (stream state and gap) and a masked run no longer
+/// stores its own pre-fill stream state or sync flag; older images are
 /// rejected.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// FNV-1a 64-bit hash of `n` bytes; the snapshot integrity checksum.
 inline std::uint64_t snapshot_checksum(const std::uint8_t* p, std::size_t n) {

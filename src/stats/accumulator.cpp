@@ -104,8 +104,10 @@ std::pair<double, double> RatioCounter::wilson95() const {
   const double denom = 1.0 + z2 / n;
   const double centre = p + z2 / (2.0 * n);
   const double margin = z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
-  return {std::max(0.0, (centre - margin) / denom),
-          std::min(1.0, (centre + margin) / denom)};
+  // At k = 0 and k = n the score interval touches 0 and 1 exactly; the
+  // closed form only gets there up to rounding (1 - 2^-52 and the like).
+  return {k_ == 0 ? 0.0 : std::max(0.0, (centre - margin) / denom),
+          k_ == n_ ? 1.0 : std::min(1.0, (centre + margin) / denom)};
 }
 
 }  // namespace btsc::stats

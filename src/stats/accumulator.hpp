@@ -110,7 +110,8 @@ class RatioCounter {
   double ratio() const {
     return n_ > 0 ? static_cast<double>(k_) / static_cast<double>(n_) : 0.0;
   }
-  /// Wilson score interval [lo, hi] at 95% confidence.
+  /// Wilson score interval [lo, hi] at 95% confidence; exactly 0 below
+  /// when no trial succeeded and exactly 1 above when every one did.
   std::pair<double, double> wilson95() const;
 
   // ---- checkpointing ----

@@ -309,10 +309,10 @@ TEST(CheckpointFork, CreationForkEqualsCold) {
   EXPECT_EQ(sf.page_slots, sc.page_slots);
 }
 
-/// The backoff family's boundary: reseed the environment stream and the
+/// The backoff family's boundary: reseed the random streams and the
 /// slave clock phases construction drew, then run one inquiry.
 BackoffSample backoff_from(BluetoothSystem& sys, std::uint64_t rep_seed) {
-  sys.env().rng().reseed(rep_seed);
+  sys.reseed(rep_seed);
   sys.randomize_slave_clocks();
   return measure_backoff(sys);
 }
@@ -393,14 +393,14 @@ TEST(CheckpointFork, ThroughputForkEqualsCold) {
   const double ber = 1.0 / 1000;
 
   auto cold = throughput_warmup(type, 3131);
-  cold.system->env().rng().reseed(rep_seed);
+  cold.system->reseed(rep_seed);
   const ThroughputRow rc = measure_throughput(*cold.system, type, ber, cfg);
 
   auto warm = throughput_warmup(type, 3131);
   const auto img = warm.system->save_snapshot();
   auto forked = throughput_scaffold(type, warm.construction_seed);
   forked->restore_snapshot(img);
-  forked->env().rng().reseed(rep_seed);
+  forked->reseed(rep_seed);
   const ThroughputRow rf = measure_throughput(*forked, type, ber, cfg);
 
   EXPECT_EQ(bits(rf.goodput_kbps), bits(rc.goodput_kbps));
@@ -414,14 +414,14 @@ TEST(CheckpointFork, CoexistenceForkEqualsCold) {
   cfg.measure_slots = 4000;
 
   auto cold = coexistence_warmup(2030);
-  cold->env().rng().reseed(rep_seed);
+  cold->reseed(rep_seed);
   const CoexistenceRow rc = measure_coexistence(*cold, 8, cfg);
 
   auto warm = coexistence_warmup(2030);
   const auto img = warm->save_snapshot();
   auto forked = coexistence_scaffold(2030);
   forked->restore_snapshot(img);
-  forked->env().rng().reseed(rep_seed);
+  forked->reseed(rep_seed);
   const CoexistenceRow rf = measure_coexistence(*forked, 8, cfg);
 
   EXPECT_EQ(bits(rf.goodput_kbps), bits(rc.goodput_kbps));

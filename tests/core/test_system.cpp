@@ -90,5 +90,42 @@ TEST(BluetoothSystemTest, DeterministicAcrossRuns) {
   EXPECT_NE(run_once(77), run_once(78));  // different seeds differ
 }
 
+TEST(BluetoothSystemTest, ReseedRestartsBothStreams) {
+  // A replication's randomness is a function of its seed alone: after
+  // reseed(s), the environment stream and the channel noise stand where
+  // a fresh system reseeded with s puts them, whatever ran before.
+  SystemConfig sc = reliable();
+  sc.ber = 1.0 / 50;
+  BluetoothSystem used(sc);
+  (void)used.run_inquiry();
+  used.reseed(5);
+  sc.seed = 99;
+  BluetoothSystem fresh(sc);
+  fresh.reseed(5);
+  EXPECT_EQ(used.env().rng().state(), fresh.env().rng().state());
+  EXPECT_EQ(used.channel().noise().state(), fresh.channel().noise().state());
+  fresh.reseed(6);
+  EXPECT_NE(used.env().rng().state(), fresh.env().rng().state());
+  EXPECT_NE(used.channel().noise().state(), fresh.channel().noise().state());
+}
+
+TEST(BluetoothSystemTest, NoiseStreamIsDerivedFromTheSeed) {
+  // Construction seeds the noise from the system seed without a draw
+  // from the environment stream, so noiseless runs see the stream they
+  // would without a channel.
+  SystemConfig sc = reliable();
+  sc.ber = 1.0 / 50;
+  BluetoothSystem a(sc), b(sc);
+  EXPECT_EQ(a.channel().noise().state(), b.channel().noise().state());
+  sc.seed += 1;
+  BluetoothSystem c(sc);
+  EXPECT_NE(a.channel().noise().state(), c.channel().noise().state());
+  sim::Rng bare(reliable().seed);
+  for (int i = 0; i < 2; ++i) {  // the slave's clock value and phase
+    (void)bare.next();
+  }
+  EXPECT_EQ(a.env().rng().state(), bare.state());
+}
+
 }  // namespace
 }  // namespace btsc::core

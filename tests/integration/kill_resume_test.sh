@@ -22,10 +22,13 @@ strip_kernel_meta() {
 }
 
 # Shared sweep arguments: quick but big enough that a mid-flight kill has
-# replications both behind and ahead of it.
+# replications both behind and ahead of it. 32 replications per point
+# keep the victim running for a few hundred ms even at 8 threads
+# (quick fig10 alone is one replication per point and can finish inside
+# one 5 ms journal poll on a 4-CPU host).
 sweep_args() {
   local threads=$1
-  echo "--scenario $SCENARIO --quick --threads $threads --json"
+  echo "--scenario $SCENARIO --quick --seeds 32 --threads $threads --json"
 }
 
 journal_size() {

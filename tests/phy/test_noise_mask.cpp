@@ -1,15 +1,18 @@
-// Differential harness for the batched error-mask noise path: the
-// mask-batched transport (Rng::fill_error_mask + NoisyChannel masked
-// runs) must reproduce the per-bit reference exactly -- same sample
-// stream, same flip counts, same final RNG stream position -- for every
-// packet geometry, BER, and mid-run perturbation (fallback, abort,
-// foreign RNG draws, checkpoint/restore). This suite is the gate behind
-// removing the "BER == 0" clause from the burst acceptance test.
+// Tests of the channel noise: the flip process itself (sim::FlipProcess
+// and Rng::fill_error_mask) must have the statistics of independent
+// per-bit flips at the configured BER, and the mask-batched transport
+// (NoisyChannel masked runs) must reproduce the per-bit reference exactly
+// -- same sample stream, same flip counts, same walker state -- for every
+// packet geometry, BER, and mid-run perturbation (fallback, abort, BER
+// change, checkpoint/restore), while never touching the environment
+// stream the link controllers draw from.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -52,27 +55,105 @@ BitVector random_payload(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// ---- RNG layer: the fill must be draw-for-draw the per-bit order ----
+// ---- the flip process: statistics and step/walk agreement ----
 
-TEST(NoiseMaskTest, FillMatchesPerBitDrawOrderAndFinalState) {
-  for (double ber : kBerGrid) {
-    for (std::size_t n : kPacketLengths) {
-      Rng filled(42), stepped(42);
-      std::vector<std::uint64_t> words((n + 63) / 64, ~0ull);
-      filled.fill_error_mask(words.data(), n, ber);
+constexpr double kStatBers[] = {1e-3, 1.0 / 30.0, 0.5};
+
+/// Two-sided 99.9% normal bound on a binomial count of n trials at p.
+void expect_binomial(std::uint64_t count, std::uint64_t n, double p,
+                     const std::string& what) {
+  const double mean = static_cast<double>(n) * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  EXPECT_NEAR(static_cast<double>(count), mean, 3.29 * sd)
+      << what << " at p " << p << " over " << n << " trials";
+}
+
+TEST(NoiseMaskTest, FlipCountIsBinomial) {
+  for (double p : kStatBers) {
+    sim::FlipProcess flips(Rng(101), p);
+    const std::uint64_t n = 2'000'000;
+    std::uint64_t count = 0;
+    for (std::uint64_t i = 0; i < n; ++i) count += flips.step() ? 1 : 0;
+    expect_binomial(count, n, p, "flips");
+  }
+}
+
+TEST(NoiseMaskTest, GapHistogramIsGeometric) {
+  // Gaps between flips, binned into kBins ranges of width w plus a tail
+  // bin, against P(b <= G < c) = (1-p)^b - (1-p)^c. Pearson chi-square
+  // with kBins degrees of freedom; 99.9% critical value 32.91 at 12.
+  constexpr int kBins = 12;
+  for (double p : kStatBers) {
+    sim::FlipProcess flips(Rng(202), p);
+    const std::uint64_t w =
+        static_cast<std::uint64_t>(std::ceil(0.25 / p));
+    std::array<std::uint64_t, kBins + 1> observed{};
+    std::uint64_t gaps = 0, gap = 0;
+    const std::uint64_t n = p < 0.01 ? 8'000'000 : 2'000'000;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (!flips.step()) {
+        ++gap;
+        continue;
+      }
+      if (i != gap) {  // the first flip has no gap before it to measure
+        ++observed[std::min<std::uint64_t>(gap / w, kBins)];
+        ++gaps;
+      }
+      gap = 0;
+    }
+    const double q = 1.0 - p;
+    double chi2 = 0.0;
+    for (int b = 0; b <= kBins; ++b) {
+      const double lo = std::pow(q, static_cast<double>(w) * b);
+      const double hi =
+          b == kBins ? 0.0 : std::pow(q, static_cast<double>(w) * (b + 1));
+      const double expected = static_cast<double>(gaps) * (lo - hi);
+      ASSERT_GE(expected, 5.0) << "bin " << b << " too thin at p " << p;
+      const double d = static_cast<double>(observed[b]) - expected;
+      chi2 += d * d / expected;
+    }
+    EXPECT_LT(chi2, 32.91) << "p " << p << " over " << gaps << " gaps";
+  }
+}
+
+TEST(NoiseMaskTest, FirstBitOfAPacketFlipsAtRateP) {
+  // Packets alternate between a whole-run walk and per-bit steps; the
+  // gap carries across each boundary, which must not bias bit 0.
+  constexpr std::size_t kLen = 68;
+  constexpr std::uint64_t kPackets = 400'000;
+  for (double p : kStatBers) {
+    sim::FlipProcess flips(Rng(303), p);
+    std::uint64_t first = 0;
+    std::array<std::uint64_t, 2> words{};
+    for (std::uint64_t k = 0; k < kPackets; ++k) {
+      if (k % 2 == 0) {
+        words = {};
+        flips.walk(words.data(), kLen);
+        first += words[0] & 1u;
+      } else {
+        first += flips.step() ? 1 : 0;
+        for (std::size_t i = 1; i < kLen; ++i) (void)flips.step();
+      }
+    }
+    expect_binomial(first, kPackets, p, "bit-0 flips");
+  }
+}
+
+TEST(NoiseMaskTest, WalkAndStepFlipTheSameBits) {
+  // Any split of one bit sequence into walked runs and single steps
+  // flips the same bits and ends in the same walker state.
+  for (double p : {1e-5, 1e-3, 0.1, 0.5, 1.0}) {
+    sim::FlipProcess walked(Rng(404), p), stepped(Rng(404), p);
+    Rng lengths(5);
+    for (int run = 0; run < 200; ++run) {
+      const std::size_t n = static_cast<std::size_t>(lengths.uniform(1, 3000));
+      std::vector<std::uint64_t> words((n + 63) / 64, 0);
+      walked.walk(words.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
-        const bool flip = stepped.bernoulli(ber);
-        ASSERT_EQ(((words[i / 64] >> (i % 64)) & 1u) != 0, flip)
-            << "ber " << ber << " len " << n << " bit " << i;
+        ASSERT_EQ(((words[i / 64] >> (i % 64)) & 1u) != 0, stepped.step())
+            << "p " << p << " run " << run << " bit " << i;
       }
-      // Same stream position either way: this is what lets a burst run
-      // pre-draw its noise and stay seed-compatible with per-bit.
-      EXPECT_EQ(filled.state(), stepped.state()) << "ber " << ber << " len "
-                                                 << n;
-      // Tail bits of the last word must be cleared (BitVector invariant).
-      if (n % 64 != 0) {
-        EXPECT_EQ(words.back() >> (n % 64), 0u) << "len " << n;
-      }
+      ASSERT_EQ(walked.state(), stepped.state()) << "p " << p;
     }
   }
 }
@@ -88,16 +169,33 @@ TEST(NoiseMaskTest, ShortcutBersConsumeNoDraws) {
     EXPECT_EQ(words[0], expect);
     EXPECT_EQ(words[1], expect);
     EXPECT_EQ(words[2], expect & 0x3ull);  // 130 % 64 == 2 tail bits
-    EXPECT_EQ(Rng::bernoulli_draws_per_bit(ber), 0u);
+    sim::FlipProcess flips(Rng(7), ber);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(flips.step(), ber >= 1.0);
+    EXPECT_EQ(flips.stream().state(), before) << "ber " << ber;
   }
-  EXPECT_EQ(Rng::bernoulli_draws_per_bit(0.5), 1u);
 }
 
-TEST(NoiseMaskTest, DiscardMatchesDrawnPrefix) {
-  Rng a(99), b(99);
-  for (int i = 0; i < 1000; ++i) (void)a.next();
-  b.discard(1000);
-  EXPECT_EQ(a.state(), b.state());
+TEST(NoiseMaskTest, FillErrorMaskIsAFreshWalk) {
+  for (double ber : {1e-5, 1e-3, 0.1, 0.5}) {
+    for (std::size_t n : kPacketLengths) {
+      Rng filled(42);
+      const std::size_t nwords = (n + 63) / 64;
+      // One word past the mask: must stay untouched.
+      std::vector<std::uint64_t> words(nwords + 1, ~0ull);
+      filled.fill_error_mask(words.data(), n, ber);
+      sim::FlipProcess walked(Rng(42), ber);
+      std::vector<std::uint64_t> expect(nwords, 0);
+      walked.walk(expect.data(), n);
+      for (std::size_t w = 0; w < nwords; ++w) {
+        ASSERT_EQ(words[w], expect[w]) << "ber " << ber << " len " << n;
+      }
+      EXPECT_EQ(words[nwords], ~0ull);
+      EXPECT_EQ(filled.state(), walked.stream().state());
+      if (n % 64 != 0) {
+        EXPECT_EQ(words[nwords - 1] >> (n % 64), 0u) << "len " << n;
+      }
+    }
+  }
 }
 
 // ---- channel layer: masked bursts vs the per-bit reference ----
@@ -123,6 +221,7 @@ struct QuietSink final : BurstRxSink {
 struct SideResult {
   std::vector<Logic4> seen;
   std::array<std::uint64_t, 4> rng_state{};
+  sim::FlipProcess::State noise;
   std::uint64_t bits_flipped = 0;
   std::uint64_t bits_driven = 0;
   std::uint64_t bits_burst = 0;
@@ -131,7 +230,8 @@ struct SideResult {
 
 /// Runs `script(env, ch, tx, tx2, rx)` once with burst transport on and
 /// once forced per-bit, and requires identical samples, flip counts and
-/// final RNG state. Returns the burst-side result for extra assertions.
+/// final stream states. Returns the burst-side result for extra
+/// assertions.
 template <typename Script>
 SideResult expect_noise_equivalence(ChannelConfig cfg, Script script,
                                     std::uint64_t seed = 11) {
@@ -146,6 +246,7 @@ SideResult expect_noise_equivalence(ChannelConfig cfg, Script script,
     script(env, ch, tx, tx2, rx);
     sides[pass].seen = sink.seen;
     sides[pass].rng_state = env.rng().state();
+    sides[pass].noise = ch.noise().state();
     sides[pass].bits_flipped = ch.bits_flipped();
     sides[pass].bits_driven = ch.bits_driven();
     sides[pass].bits_burst = ch.bits_burst();
@@ -162,7 +263,8 @@ SideResult expect_noise_equivalence(ChannelConfig cfg, Script script,
       break;
     }
   }
-  EXPECT_EQ(burst.rng_state, ref.rng_state) << "RNG stream position diverged";
+  EXPECT_EQ(burst.rng_state, ref.rng_state) << "environment stream diverged";
+  EXPECT_EQ(burst.noise, ref.noise) << "noise walker diverged";
   EXPECT_EQ(burst.bits_flipped, ref.bits_flipped);
   EXPECT_EQ(burst.bits_driven, ref.bits_driven);
   EXPECT_EQ(ref.bits_burst, 0u);
@@ -207,12 +309,28 @@ TEST(NoiseMaskTest, ExtremeBersBurstWithoutDraws) {
   }
 }
 
-TEST(NoiseMaskTest, ForeignDrawMidRunRewindsAndFallsBack) {
-  // An unrelated consumer of the environment RNG fires in the middle of
-  // a masked run: the upfront fill must rewind to the per-bit draw
-  // position (the foreign draw then sees the stream exactly where the
-  // reference path would put it) and the rest of the packet degrades to
-  // per-bit. One fallback, identical samples, identical stream.
+TEST(NoiseMaskTest, NoisyBurstLeavesEnvironmentStreamUntouched) {
+  // Noise runs on the channel's own stream: a noisy packet, batched or
+  // per-bit, draws nothing from the environment stream.
+  ChannelConfig cfg;
+  cfg.ber = 0.05;
+  const SideResult burst = expect_noise_equivalence(
+      cfg, [&](Environment& env, NoisyChannel&, Radio& tx, Radio&, Radio& rx) {
+        const auto before = env.rng().state();
+        rx.enable_rx(7);
+        tx.transmit(7, random_payload(400, 77));
+        env.run(500_us);
+        rx.disable_rx();
+        EXPECT_EQ(env.rng().state(), before);
+      });
+  EXPECT_EQ(burst.bits_burst, 400u);
+  EXPECT_GT(burst.bits_flipped, 0u);
+}
+
+TEST(NoiseMaskTest, ForeignDrawMidRunCausesNoFallback) {
+  // An unrelated consumer of the environment stream fires in the middle
+  // of a masked run. It shares nothing with the noise, so the run stays
+  // batched end to end and the draw sees the same stream either way.
   bool drew_burst = false, drew_ref = false;
   bool* drew = &drew_burst;
   ChannelConfig cfg;
@@ -222,43 +340,20 @@ TEST(NoiseMaskTest, ForeignDrawMidRunRewindsAndFallsBack) {
         rx.enable_rx(7);
         tx.transmit(7, random_payload(400, 77));
         env.schedule(150_us + SimTime::ns(500),
-                     [&env, drew] { *drew = env.draw_bernoulli(0.25); });
+                     [&env, drew] { *drew = env.rng().bernoulli(0.25); });
         env.run(500_us);
         rx.disable_rx();
         drew = &drew_ref;
       });
-  EXPECT_EQ(burst.fallbacks, 1u);
-  EXPECT_LT(burst.bits_burst, 400u);  // only the elapsed prefix was batched
-  EXPECT_GT(burst.bits_burst, 0u);
-  EXPECT_EQ(drew_burst, drew_ref) << "foreign draw saw a diverged stream";
-}
-
-TEST(NoiseMaskTest, ForeignDrawAfterLastBitSyncsWithoutFallback) {
-  // The draw lands after the run's last bit instant but before its
-  // finish barrier: the fill already consumed exactly the per-bit draw
-  // count, so the run must stand down in place -- no rewind, no
-  // fallback, still batched end to end.
-  ChannelConfig cfg;
-  cfg.ber = 0.05;
-  const std::size_t n = 200;
-  const SideResult burst = expect_noise_equivalence(
-      cfg, [&](Environment& env, NoisyChannel&, Radio& tx, Radio&, Radio& rx) {
-        rx.enable_rx(7);
-        tx.transmit(7, random_payload(n, 9));
-        // Last bit instant: (n-1) us; finish barrier: n us.
-        env.schedule(SimTime::us(n - 1) + SimTime::ns(500),
-                     [&env] { (void)env.draw_uniform(0, 1023); });
-        env.run(SimTime::us(n + 20));
-        rx.disable_rx();
-      });
   EXPECT_EQ(burst.fallbacks, 0u);
-  EXPECT_EQ(burst.bits_burst, n);
+  EXPECT_EQ(burst.bits_burst, 400u);
+  EXPECT_EQ(drew_burst, drew_ref) << "foreign draw saw a diverged stream";
 }
 
 TEST(NoiseMaskTest, ContentionMidMaskedRunMatchesPerBit) {
   // A second transmitter breaks the sole-transmitter premise mid-run:
-  // the masked run rewinds, falls back, and from there both noisy
-  // per-bit streams interleave their draws exactly as the reference.
+  // the masked run re-walks its driven prefix, falls back, and from
+  // there both noisy per-bit drives step the walker as the reference.
   ChannelConfig cfg;
   cfg.ber = 0.02;
   const SideResult burst = expect_noise_equivalence(
@@ -300,7 +395,7 @@ TEST(NoiseMaskTest, AbortMidMaskedRunMatchesPerBit) {
         rx.disable_rx();
       });
   // Only the elapsed prefix went out; no fallback (abort settles the
-  // run directly) and the stream rewound to the per-bit position.
+  // run directly) and the walker re-walked just that prefix.
   EXPECT_EQ(burst.fallbacks, 0u);
   EXPECT_LT(burst.bits_driven, 256u);
 }
@@ -473,8 +568,8 @@ TEST(NoiseMaskTest, BurstBarrierTimerKeepsKernelBusyAndSurvivesCheckpoint) {
   const auto snap = save_phy(env, ch, tx, rx);
 
   // Twin: same construction path, restore mid-burst, run both to the
-  // end. The twin's masked run is rebuilt from the saved pre-fill RNG
-  // state, so its remaining samples must equal the original's.
+  // end. The twin's masked run is re-walked from the walker saved before
+  // the run, so its remaining samples must equal the original's.
   Environment env2(23);
   NoisyChannel ch2(env2, "ch", cfg);
   Radio tx2(env2, "tx", ch2), rx2(env2, "rx", ch2);
@@ -493,6 +588,7 @@ TEST(NoiseMaskTest, BurstBarrierTimerKeepsKernelBusyAndSurvivesCheckpoint) {
                                                      << i;
   }
   EXPECT_EQ(env.rng().state(), env2.rng().state());
+  EXPECT_EQ(ch.noise().state(), ch2.noise().state());
   EXPECT_EQ(ch.bits_flipped(), ch2.bits_flipped());
   EXPECT_EQ(ch.bits_burst(), ch2.bits_burst());
   EXPECT_TRUE(env.idle());

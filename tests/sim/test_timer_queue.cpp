@@ -252,9 +252,12 @@ TEST(TimerWheelTest, CreationVcdMatchesPinnedHash) {
   // same timestamp in the same order. Any change to the kernel's
   // (when, seq) dispatch order moves it; recorded with the slot-grid
   // wheel kernel, whose dispatch order the heap-only queue reproduces.
+  // The scenario is noisy, so the noise stream is pinned too: re-pinned
+  // once when the noise moved onto the channel's own stream (the per-bit
+  // transport writes the same bytes).
   const std::uint64_t hash = snapshot_checksum(
       reinterpret_cast<const std::uint8_t*>(vcd.data()), vcd.size());
-  EXPECT_EQ(hash, 0x64b24bd95907bed3ull) << std::hex << "0x" << hash;
+  EXPECT_EQ(hash, 0x4b7ed8205d54052aull) << std::hex << "0x" << hash;
 }
 
 }  // namespace

@@ -218,6 +218,25 @@ TEST(RatioCounterTest, EmptyIntervalIsFullRange) {
   EXPECT_DOUBLE_EQ(hi, 1.0);
 }
 
+TEST(RatioCounterTest, WilsonBoundsAreExactAtZeroAndAll) {
+  // k = 0 and k = n: the bound at the observed end is exactly 0 or 1,
+  // not 0 or 1 up to rounding, for every trial count.
+  for (int n : {1, 2, 7, 20, 1000, 100000}) {
+    RatioCounter none, all;
+    for (int i = 0; i < n; ++i) {
+      none.add(false);
+      all.add(true);
+    }
+    const auto [nlo, nhi] = none.wilson95();
+    const auto [alo, ahi] = all.wilson95();
+    EXPECT_EQ(nlo, 0.0) << "n " << n;
+    EXPECT_GT(nhi, 0.0) << "n " << n;
+    EXPECT_EQ(ahi, 1.0) << "n " << n;
+    EXPECT_LT(alo, 1.0) << "n " << n;
+    EXPECT_EQ(1.0 - ahi, 0.0) << "n " << n;
+  }
+}
+
 TEST(RatioCounterTest, MergeAddsTrialsAndSuccesses) {
   RatioCounter a, b;
   for (int i = 0; i < 10; ++i) a.add(i < 4);   // 4/10
