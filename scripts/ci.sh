@@ -272,6 +272,9 @@ echo "=== thread-count gate: fig08/fig10 sweep byte-compare at 1/2/8 threads ===
 # the kernel dispatch order (the (when, seq) contract) broke.
 gate_dir=build/thread-gate
 mkdir -p "$gate_dir"
+# References are reused within a run only: a stale one from an earlier
+# run (older code) would fail the byte-compares below for no fault.
+rm -f "$gate_dir"/*.json
 for fig in 8 10; do
   ref="$gate_dir/fig${fig}_1t.json"
   ./build/bench/btsc-sweep --fig "$fig" --quick --seeds 8 --threads 1 \
